@@ -8,7 +8,7 @@ goes to 0 and eigenvector-like rankings at the feasible endpoint. The
 actually sits.
 """
 
-from ._kernels import available_backends, get_backend
+from ._kernels import get_backend
 from .datasets import karate, six_node_digraph
 from .errors import (
     CapacityError,
@@ -110,8 +110,8 @@ __all__ = [
     "WalkrankError", "GraphParseError", "FormatError", "ValidationError",
     "DomainError", "CapacityError", "UnsupportedOperationError",
     "ConvergenceError", "TruncationError",
-    # backends
-    "get_backend", "available_backends",
+    # kernels
+    "get_backend",
     # bundled fixtures
     "karate", "six_node_digraph",
 ]

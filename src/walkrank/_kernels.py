@@ -1,32 +1,21 @@
-"""Low-level numeric kernels with two interchangeable backends.
+"""Low-level numeric kernels on CSR arrays (``indptr``, ``indices``, ``data``).
 
-Everything hot in this package funnels through three primitives operating on
-CSR arrays (``indptr``, ``indices``, ``data``):
+Everything hot in this package funnels through three vectorized numpy
+primitives:
 
 * ``csr_matvec``   -- ``y = A @ x``
 * ``neumann``      -- the full fixed-point loop ``x <- v + alpha * A @ x``
 * ``triangle_diag``-- ``diag(A^3)`` via sorted-row merge intersection
 
-The default backend compiles these with numba; a pure-numpy fallback is
-selected by setting ``CENTRALITY_BACKEND=numpy`` in the environment (and is
-used automatically when numba is unavailable). Both implementations are
-importable at all times under ``*_numba`` / ``*_numpy`` names so tests can
-assert parity and ``benchmarks/bench_kernels.py`` can time them side by side.
-
-The numba variants avoid fastmath and any parallel reduction so that results
-are bitwise reproducible for fixed inputs on a given backend.
+Callers look them up as attributes of this module at each call, so they can
+be replaced (for instance by a tracing wrapper) in one place.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
 __all__ = [
-    "BACKEND",
-    "available_backends",
     "get_backend",
     "csr_matvec",
     "neumann",
@@ -35,17 +24,14 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
 def _row_index(indptr: np.ndarray) -> np.ndarray:
     """Expand a CSR pointer array to one row id per stored entry."""
     n = indptr.shape[0] - 1
     return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
 
 
-def csr_matvec_numpy(indptr, indices, data, x):
+def csr_matvec(indptr, indices, data, x):
+    """``A @ x``."""
     n = indptr.shape[0] - 1
     if data.shape[0] == 0:
         return np.zeros(n)
@@ -53,7 +39,7 @@ def csr_matvec_numpy(indptr, indices, data, x):
     return np.bincount(rows, weights=data * x[indices], minlength=n)
 
 
-def neumann_numpy(indptr, indices, data, v, alpha, tol, max_iter):
+def neumann(indptr, indices, data, v, alpha, tol, max_iter):
     """Iterate ``x <- v + alpha * A @ x`` until the l1 step is small.
 
     Returns ``(x, iterations, last_step_l1)``; the caller decides whether the
@@ -78,7 +64,7 @@ def neumann_numpy(indptr, indices, data, v, alpha, tol, max_iter):
     return x, it, diff
 
 
-def triangle_diag_numpy(indptr, indices, data):
+def triangle_diag(indptr, indices, data):
     """diag(A @ A @ A) for a symmetric CSR matrix with sorted row indices."""
     n = indptr.shape[0] - 1
     out = np.zeros(n)
@@ -98,146 +84,14 @@ def triangle_diag_numpy(indptr, indices, data):
     return out
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-try:  # pragma: no cover - exercised indirectly through backend selection
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    _HAVE_NUMBA = False
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def csr_matvec_numba(indptr, indices, data, x):
-        n = indptr.shape[0] - 1
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                acc += data[p] * x[indices[p]]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def neumann_numba(indptr, indices, data, v, alpha, tol, max_iter):
-        n = indptr.shape[0] - 1
-        x = v.copy()
-        y = np.empty(n)
-        diff = np.inf
-        it = 0
-        while it < max_iter:
-            for i in range(n):
-                acc = 0.0
-                for p in range(indptr[i], indptr[i + 1]):
-                    acc += data[p] * x[indices[p]]
-                y[i] = v[i] + alpha * acc
-            diff = 0.0
-            ynorm = 0.0
-            for i in range(n):
-                d = y[i] - x[i]
-                diff += d if d >= 0.0 else -d
-                ynorm += y[i] if y[i] >= 0.0 else -y[i]
-            tmp = x
-            x = y
-            y = tmp
-            it += 1
-            if diff <= tol * ynorm:
-                break
-        return x, it, diff
-
-    @njit(cache=True)
-    def triangle_diag_numba(indptr, indices, data):
-        n = indptr.shape[0] - 1
-        out = np.zeros(n)
-        for i in range(n):
-            for p in range(indptr[i], indptr[i + 1]):
-                j = indices[p]
-                a = indptr[i]
-                ea = indptr[i + 1]
-                b = indptr[j]
-                eb = indptr[j + 1]
-                acc = 0.0
-                while a < ea and b < eb:
-                    ka = indices[a]
-                    kb = indices[b]
-                    if ka == kb:
-                        acc += data[a] * data[b]
-                        a += 1
-                        b += 1
-                    elif ka < kb:
-                        a += 1
-                    else:
-                        b += 1
-                out[i] += data[p] * acc
-        return out
-
-else:  # keep the names importable so callers can introspect availability
-    csr_matvec_numba = None
-    neumann_numba = None
-    triangle_diag_numba = None
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _select_backend() -> str:
-    requested = os.environ.get("CENTRALITY_BACKEND", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        warnings.warn(
-            f"CENTRALITY_BACKEND={requested!r} is not one of 'numba'/'numpy'; "
-            "falling back to the default backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        requested = ""
-    if requested == "numpy":
-        return "numpy"
-    if not _HAVE_NUMBA:
-        if requested == "numba":
-            warnings.warn(
-                "CENTRALITY_BACKEND=numba requested but numba is not "
-                "importable; using the numpy fallback",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "numpy"
-    return "numba"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    csr_matvec = csr_matvec_numba
-    neumann = neumann_numba
-    triangle_diag = triangle_diag_numba
-else:
-    csr_matvec = csr_matvec_numpy
-    neumann = neumann_numpy
-    triangle_diag = triangle_diag_numpy
-
-
 def get_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
+    """Name of the kernel implementation: always ``"numpy"``."""
+    return "numpy"
 
 
 def warmup() -> None:
-    """Trigger JIT compilation of every kernel on a tiny input.
-
-    Calling this once up front keeps compilation latency out of any timed
-    section. A no-op on the numpy backend.
-    """
+    """Run every kernel once on a tiny input, so that first-call costs
+    (imports, allocator warm-up) stay out of any timed section."""
     indptr = np.array([0, 2, 4, 6], dtype=np.int64)
     indices = np.array([1, 2, 0, 2, 0, 1], dtype=np.int64)
     data = np.ones(6)

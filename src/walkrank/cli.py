@@ -17,7 +17,6 @@ converge within its cap.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from fractions import Fraction
@@ -42,28 +41,9 @@ from .errors import (
 )
 from .generators import erdos_renyi, ring, star
 from .graph import Graph, load_edge_list, load_matrix_market
-from .measures import (
-    degree_centrality,
-    eigenvector_centrality,
-    exp_subgraph,
-    hits,
-    katz,
-    resolvent_subgraph,
-    total_communicability,
-)
-from .pagerank import (
-    build_model,
-    heat_kernel_rowsums,
-    pagerank_power,
-    small_alpha_limit,
-)
+from .measures import MEASURES, SWEEPABLE
+from .pagerank import build_model, pagerank_power, small_alpha_limit
 from .ranking import convergence_report, intersection_distance, limit_sweep, rank
-
-MEASURES = ("degree", "eigenvector", "katz", "resolvent-subgraph",
-            "exp-subgraph", "total-communicability", "hits", "pagerank",
-            "heat-kernel")
-SWEEPABLE = ("katz", "resolvent-subgraph", "exp-subgraph",
-             "total-communicability", "pagerank")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,23 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 # input plumbing
 # ---------------------------------------------------------------------------
 
-def _detect_index_base(text: str) -> int:
-    """Use 0-based ids iff a node id 0 appears; classic files are 1-based."""
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#%":
-            continue
-        parts = stripped.split()
-        if len(parts) < 2:
-            continue
-        try:
-            if int(parts[0]) == 0 or int(parts[1]) == 0:
-                return 0
-        except ValueError:
-            continue
-    return 1
-
-
 def _load_graph(args) -> Graph:
     if args.synth:
         if args.n is None:
@@ -207,14 +170,11 @@ def _load_graph(args) -> Graph:
             print("note: --directed ignored for Matrix Market input; the "
                   "header symmetry governs", file=sys.stderr)
         return load_matrix_market(args.input)
-    with open(args.input, encoding="utf-8") as fh:
-        text = fh.read()
-    base = _detect_index_base(text)
-    if base == 0:
+    g = load_edge_list(args.input, directed=args.directed)
+    if g.n and g.node_labels[0] == 0:
         print("note: node id 0 found, reading ids as 0-based",
               file=sys.stderr)
-    return load_edge_list(io.StringIO(text), directed=args.directed,
-                          index_base=base)
+    return g
 
 
 def _load_preference(spec: str, n: int) -> np.ndarray | None:
@@ -251,52 +211,24 @@ def _emit(text: str, out_path: str | None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _require(args, name: str, measure: str) -> float:
-    value = getattr(args, name.lstrip("-").replace("-", "_"))
-    if value is None:
-        raise ValidationError(f"--measure {measure} requires {name}")
-    return value
+def _parameter(args, spec):
+    """Value of the measure's parameter flag, else the table default."""
+    if spec.flag is None:
+        return None
+    value = getattr(args, spec.flag.lstrip("-"))
+    if value is None and spec.required:
+        raise ValidationError(f"--measure {spec.name} requires {spec.flag}")
+    return spec.default if value is None else value
 
 
 def cmd_compute(args) -> int:
+    spec = MEASURES[args.measure]
     g = _load_graph(args)
-    measure = args.measure
-    tol = args.tol
-    preference_desc = None
-
-    if measure == "degree":
-        cv = degree_centrality(g, side=args.side)
-    elif measure == "eigenvector":
-        cv = eigenvector_centrality(g, side=args.side, tol=tol)
-    elif measure == "katz":
-        cv = katz(g, args.alpha, side=args.side, tol=tol)
-    elif measure == "resolvent-subgraph":
-        cv = resolvent_subgraph(g, args.alpha, tol=tol)
-    elif measure == "exp-subgraph":
-        cv = exp_subgraph(g, args.beta if args.beta is not None else 1.0,
-                          tol=tol)
-    elif measure == "total-communicability":
-        cv = total_communicability(
-            g, args.beta if args.beta is not None else 1.0,
-            side=args.side, tol=tol)
-    elif measure == "hits":
-        hubs, authorities = hits(g, tol=tol)
-        cv = authorities if (g.directed and args.side == "receive") else hubs
-    elif measure == "pagerank":
-        alpha = args.alpha if args.alpha is not None else 0.85
-        v = _load_preference(args.preference, g.n)
-        model = build_model(g, alpha, v)
-        scores = pagerank_power(model, tol=tol)
-        preference_desc = args.preference
-        cv = _Plain("pagerank", "broadcast", alpha, scores)
-    else:  # heat-kernel
-        t = _require(args, "--t", measure)
-        alpha = args.alpha if args.alpha is not None else 0.85
-        v = _load_preference(args.preference, g.n)
-        model = build_model(g, alpha, v)
-        scores = heat_kernel_rowsums(model, t, tol=tol)
-        preference_desc = args.preference
-        cv = _Plain("heat-kernel", "broadcast", t, scores)
+    t = _parameter(args, spec)
+    pagerank = spec.family == "pagerank"
+    v = _load_preference(args.preference, g.n) if pagerank else None
+    cv = spec.compute(g, t, side=args.side, tol=args.tol, preference=v,
+                      damping=args.alpha)
 
     ranking = rank(cv.scores)
     position = np.empty(g.n, dtype=np.int64)
@@ -308,7 +240,7 @@ def cmd_compute(args) -> int:
             "measure": cv.measure,
             "side": cv.side,
             "parameter": cv.parameter,
-            "preference": preference_desc,
+            "preference": args.preference if pagerank else None,
             "scores": [
                 {"node": int(labels[i]), "score": float(cv.scores[i]),
                  "rank": int(position[i])}
@@ -322,16 +254,6 @@ def cmd_compute(args) -> int:
             lines.append(f"{labels[i]},{cv.scores[i]:.12g},{position[i]}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-class _Plain:
-    """Minimal stand-in for measures computed outside measures.py."""
-
-    def __init__(self, measure, side, parameter, scores):
-        self.measure = measure
-        self.side = side
-        self.parameter = parameter
-        self.scores = scores
 
 
 def cmd_sweep(args) -> int:

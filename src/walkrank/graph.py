@@ -211,12 +211,6 @@ class Graph:
         dense[rows, indices] = data
         return dense
 
-    def relabel(self, node_labels) -> "Graph":
-        """Copy of the graph with different external labels."""
-        return Graph(self.n, self.src.copy(), self.dst.copy(),
-                     self.weight.copy(), self.directed,
-                     np.asarray(node_labels, dtype=np.int64).copy())
-
 
 # ---------------------------------------------------------------------------
 # loaders / serializers
@@ -229,7 +223,8 @@ def _open_text(path_or_file, mode="r"):
 
 
 def load_edge_list(path_or_file, *, directed: bool = False,
-                   weighted: bool | None = None, index_base: int = 1,
+                   weighted: bool | None = None,
+                   index_base: int | None = None,
                    allow_loops: bool = False) -> Graph:
     """Parse a whitespace-separated edge list.
 
@@ -237,7 +232,10 @@ def load_edge_list(path_or_file, *, directed: bool = False,
     ``%`` and blank lines are skipped. ``weighted=None`` infers the column
     count from the first data line and then enforces it. Node ids are shifted
     down by ``index_base``; the resulting graph has ``n = 1 + max(id)`` nodes
-    and keeps the original ids as ``node_labels``.
+    and keeps the original ids as ``node_labels``. ``index_base=None`` reads
+    the ids 0-based if some id is 0 and 1-based otherwise, so the output of
+    :func:`dump_edge_list` loads back unchanged; ids below the base (under
+    ``None``: negative ids) are rejected.
 
     Duplicate edges sum their weights. Malformed lines raise
     :class:`GraphParseError` carrying the 1-based line number.
@@ -247,6 +245,7 @@ def load_edge_list(path_or_file, *, directed: bool = False,
         edges = []
         ncols = 3 if weighted is True else (2 if weighted is False else None)
         inferred = weighted is None
+        lowest = 0 if index_base is None else index_base
         max_id = -1
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -271,11 +270,9 @@ def load_edge_list(path_or_file, *, directed: bool = False,
                 raise GraphParseError(
                     f"node ids must be integers, got {parts[0]!r} {parts[1]!r}",
                     lineno) from None
-            u -= index_base
-            v -= index_base
-            if u < 0 or v < 0:
+            if u < lowest or v < lowest:
                 raise GraphParseError(
-                    f"node id below index base {index_base}", lineno)
+                    f"node id below index base {lowest}", lineno)
             if u == v and not allow_loops:
                 raise GraphParseError(
                     f"self-loop at node {parts[0]} "
@@ -295,7 +292,13 @@ def load_edge_list(path_or_file, *, directed: bool = False,
                 w = 1.0
             edges.append((u, v, w))
             max_id = max(max_id, u, v)
-        n = max_id + 1
+        if index_base is None:
+            has_zero = any(u == 0 or v == 0 for u, v, _ in edges)
+            index_base = 0 if has_zero else 1
+        if index_base:
+            edges = [(u - index_base, v - index_base, w)
+                     for u, v, w in edges]
+        n = max_id - index_base + 1 if edges else 0
         labels = np.arange(n, dtype=np.int64) + index_base
         return Graph.from_edges(n, edges, directed=directed,
                                 node_labels=labels, allow_loops=allow_loops)

@@ -8,22 +8,37 @@ Undirected graphs report ``side="symmetric"`` since both roles coincide.
 
 Parameterized measures record the parameter value actually used, including
 resolved defaults, so results are self-describing.
+
+:data:`MEASURES` is the one table of measures: for each name the command
+line accepts, its family, its parameter flag and default, the call that
+computes it and, for sweepable measures, how
+:func:`walkrank.ranking.limit_sweep` traces it between its two limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError, ValidationError
 from .graph import Graph, degrees, is_connected
+from .pagerank import (
+    ALPHA_CAP,
+    DEFAULT_ALPHA as DEFAULT_DAMPING,
+    build_model,
+    heat_kernel_rowsums,
+    pagerank_power,
+    small_alpha_limit,
+)
 from .series import (
     EXPONENTIAL,
     RESOLVENT,
+    SeriesFunction,
     exp_action,
     fa_diagonal,
+    feasible_interval,
     resolvent_solve,
 )
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, dominant_eigenpair
@@ -37,6 +52,9 @@ __all__ = [
     "exp_subgraph",
     "total_communicability",
     "hits",
+    "Measure",
+    "MEASURES",
+    "SWEEPABLE",
 ]
 
 DEFAULT_ALPHA_FRACTION = 0.85  # default alpha = 0.85 / lambda1
@@ -183,3 +201,138 @@ def hits(g: Graph, *, tol: float = DEFAULT_TOL,
     authorities = CentralityVector("hits-authority", auth_side, None, a,
                                    dict(meta))
     return hubs, authorities
+
+
+# ---------------------------------------------------------------------------
+# the measure table
+# ---------------------------------------------------------------------------
+
+EXP_FAMILY_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 10.0)
+RESOLVENT_FAMILY_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
+                              0.99)
+
+
+def _walk_limits(f: SeriesFunction):
+    """Limits of ``f(tA)``: degree as ``t -> 0``, the dominant eigenvector
+    at the feasible endpoint ``radius / lambda1``."""
+
+    def limits(g: Graph, receive: bool, tol: float):
+        info = dominant_eigenpair(
+            g, side="left" if receive else "right", tol=tol)
+        _, t_star = feasible_interval(f, info.lambda1)
+        out_deg, in_deg = degrees(g)
+        return t_star, (in_deg if receive else out_deg), info.dominant_vector
+
+    return limits
+
+
+def _pagerank_limits(g: Graph, receive: bool, tol: float):
+    """Limits of PageRank in its damping factor: the row sums ``H 1`` as
+    ``alpha -> 0``, the PageRank vector at the damping cap near the
+    endpoint 1."""
+    return (1.0, small_alpha_limit(g),
+            pagerank_power(build_model(g, ALPHA_CAP), tol=tol))
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """How a family is swept.
+
+    ``grid`` is the default grid, in fractions of the feasible endpoint when
+    ``relative``. ``limits(g, receive, tol)`` returns the endpoint
+    ``t_star`` and the degree-like and eigenvector-like reference scores.
+    """
+
+    grid: tuple[float, ...]
+    relative: bool
+    limits: Callable
+
+    def default_grid(self, t_star: float) -> np.ndarray:
+        grid = np.asarray(self.grid, dtype=np.float64)
+        return grid * t_star if self.relative else grid
+
+
+SWEEPS = {
+    "exponential": Sweep(EXP_FAMILY_GRID, False, _walk_limits(EXPONENTIAL)),
+    "resolvent": Sweep(RESOLVENT_FAMILY_FRACTIONS, True,
+                       _walk_limits(RESOLVENT)),
+    "pagerank": Sweep(RESOLVENT_FAMILY_FRACTIONS, True, _pagerank_limits),
+}
+
+
+@dataclass(frozen=True)
+class Measure:
+    """One row of :data:`MEASURES`.
+
+    ``compute(g, t, side=..., tol=..., preference=None, damping=None)``
+    returns the scores as a :class:`CentralityVector`. ``t`` is the value of
+    the command-line ``flag``, else ``default``; ``None`` lets the measure
+    resolve it (Katz: ``0.85 / lambda1``), and a ``required`` flag has no
+    default. ``preference`` (a vector, ``None`` for uniform) and
+    ``damping`` (the heat kernel's ``alpha``) are read by the PageRank
+    family only. ``diagonal`` measures score walk returns and need an
+    undirected graph.
+    """
+
+    name: str
+    family: str  # "exponential" | "resolvent" | "pagerank" | "none"
+    compute: Callable[..., CentralityVector]
+    flag: str | None = None
+    default: float | None = None
+    required: bool = False
+    sweepable: bool = False
+    diagonal: bool = False
+
+    @property
+    def sweep(self) -> Sweep | None:
+        return SWEEPS[self.family] if self.sweepable else None
+
+
+# The table calls each measure through its module-global name at call time,
+# so replacing that name (e.g. with a tracing wrapper) reaches every caller.
+
+def _hits(g, t, side, tol, **_):
+    hubs, authorities = hits(g, tol=tol)
+    return authorities if (g.directed and side == "receive") else hubs
+
+
+def _pagerank(g, alpha, side, tol, preference=None, **_):
+    scores = pagerank_power(build_model(g, alpha, preference), tol=tol)
+    return CentralityVector("pagerank", "broadcast", alpha, scores)
+
+
+def _heat_kernel(g, t, side, tol, preference=None, damping=None):
+    model = build_model(g, DEFAULT_DAMPING if damping is None else damping,
+                        preference)
+    return CentralityVector("heat-kernel", "broadcast", t,
+                            heat_kernel_rowsums(model, t, tol=tol))
+
+
+MEASURES: dict[str, Measure] = {m.name: m for m in (
+    Measure("degree", "none",
+            lambda g, t, side, tol, **_: degree_centrality(g, side=side)),
+    Measure("eigenvector", "none",
+            lambda g, t, side, tol, **_: eigenvector_centrality(
+                g, side=side, tol=tol)),
+    Measure("katz", "resolvent",
+            lambda g, t, side, tol, **_: katz(g, t, side=side, tol=tol),
+            flag="--alpha", sweepable=True),
+    Measure("resolvent-subgraph", "resolvent",
+            lambda g, t, side, tol, **_: resolvent_subgraph(g, t, tol=tol),
+            flag="--alpha", sweepable=True, diagonal=True),
+    Measure("exp-subgraph", "exponential",
+            lambda g, t, side, tol, **_: exp_subgraph(g, t, tol=tol),
+            flag="--beta", default=DEFAULT_BETA, sweepable=True,
+            diagonal=True),
+    Measure("total-communicability", "exponential",
+            lambda g, t, side, tol, **_: total_communicability(
+                g, t, side=side, tol=tol),
+            flag="--beta", default=DEFAULT_BETA, sweepable=True),
+    Measure("hits", "none", _hits),
+    Measure("pagerank", "pagerank", _pagerank, flag="--alpha",
+            default=DEFAULT_DAMPING, sweepable=True),
+    Measure("heat-kernel", "pagerank", _heat_kernel, flag="--t",
+            required=True),
+)}
+
+SWEEPABLE = tuple(name for name, m in MEASURES.items() if m.sweepable)

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graph import Graph, degrees
-from .series import EXPONENTIAL, _series_action
+from .series import DEFAULT_MAX_TERMS, _scaled_taylor
 
 __all__ = [
     "GoogleModel",
@@ -225,13 +225,4 @@ def heat_kernel_rowsums(model: GoogleModel, t: float,
     ones = np.ones(model.n)
     if t == 0.0:
         return ones
-    s = 1
-    while t / s > 1.0:
-        s *= 2
-    step = t / s
-    inner_tol = tol / s
-    w = ones
-    for _ in range(s):
-        w, _ = _series_action(model.apply, EXPONENTIAL, step, w, inner_tol,
-                              500_000, step)
-    return w
+    return _scaled_taylor(model.apply, t, 1.0, ones, tol, DEFAULT_MAX_TERMS)

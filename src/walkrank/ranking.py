@@ -21,16 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedOperationError, ValidationError
-from .graph import Graph, degrees
-from .measures import (
-    exp_subgraph,
-    katz,
-    resolvent_subgraph,
-    total_communicability,
-)
-from .pagerank import build_model, pagerank_power, small_alpha_limit
-from .series import EXPONENTIAL, RESOLVENT, feasible_interval
-from .spectral import dominant_eigenpair
+from .graph import Graph
+from .measures import MEASURES, SWEEPABLE
 
 __all__ = [
     "Ranking",
@@ -45,14 +37,6 @@ __all__ = [
 
 DEFAULT_TIE_TOL = 1e-9
 DEFAULT_BAND_THRESHOLD = 0.05
-
-EXP_FAMILY_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 10.0)
-RESOLVENT_FAMILY_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
-                              0.99)
-
-_EXP_MEASURES = ("exp-subgraph", "total-communicability")
-_RESOLVENT_MEASURES = ("resolvent-subgraph", "katz")
-_SWEEP_MEASURES = _EXP_MEASURES + _RESOLVENT_MEASURES + ("pagerank",)
 
 
 @dataclass(frozen=True)
@@ -265,28 +249,14 @@ class SweepResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _sweep_candidate(g: Graph, measure: str, side: str, t: float,
-                     lambda1: float, tol: float) -> np.ndarray:
-    if measure == "exp-subgraph":
-        return exp_subgraph(g, t, tol=tol).scores
-    if measure == "total-communicability":
-        return total_communicability(g, t, side=side, tol=tol).scores
-    if measure == "resolvent-subgraph":
-        return resolvent_subgraph(g, t, tol=tol).scores
-    if measure == "katz":
-        return katz(g, t, side=side, tol=tol).scores
-    if measure == "pagerank":
-        return pagerank_power(build_model(g, t), tol=tol)
-    raise ValidationError(f"unknown sweep measure {measure!r}")  # unreachable
-
-
 def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
                 grid=None, k: int | None = None, tol: float = 1e-10,
                 tie_tol: float = DEFAULT_TIE_TOL) -> SweepResult:
     """Trace a measure's ranking across its feasible parameter interval.
 
-    ``measure`` is one of ``exp-subgraph``, ``total-communicability``,
-    ``resolvent-subgraph``, ``katz``, or ``pagerank``. The default grid is
+    ``measure`` is a sweepable entry of :data:`walkrank.measures.MEASURES`:
+    ``katz``, ``resolvent-subgraph``, ``exp-subgraph``,
+    ``total-communicability`` or ``pagerank``. The default grid is
     ``(0.1, 0.5, 1, 2, 5, 8, 10)`` for the exponential family and the
     fractions ``(0.01, ..., 0.99)`` of the feasible endpoint for the
     resolvent family and for pagerank's damping factor. A custom grid must
@@ -299,42 +269,24 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
     distance is taken, so a column reads 0 exactly when the candidate
     matches that limit modulo reference ties.
     """
-    if measure not in _SWEEP_MEASURES:
+    spec = MEASURES.get(measure)
+    if spec is None or spec.sweep is None:
         raise ValidationError(
-            f"measure must be one of {', '.join(_SWEEP_MEASURES)}; "
+            f"measure must be one of {', '.join(SWEEPABLE)}; "
             f"got {measure!r}")
     if side not in ("broadcast", "receive"):
         raise ValidationError(
             f"side must be 'broadcast' or 'receive', got {side!r}")
-    if measure in ("exp-subgraph", "resolvent-subgraph") and g.directed:
+    if spec.diagonal and g.directed:
         raise UnsupportedOperationError(
             f"{measure} is a walk-return diagonal and needs an undirected "
             "graph")
 
     receive = g.directed and side == "receive"
-
-    # limiting references and the feasible interval
-    if measure == "pagerank":
-        lambda1 = 1.0  # spectral radius of the stochastic S
-        t_star = 1.0
-        deg_scores = small_alpha_limit(g)
-        eig_scores = pagerank_power(build_model(g, 0.999), tol=tol)
-    else:
-        info = dominant_eigenpair(
-            g, side="left" if receive else "right", tol=tol)
-        lambda1 = info.lambda1
-        f = EXPONENTIAL if measure in _EXP_MEASURES else RESOLVENT
-        _, t_star = feasible_interval(f, lambda1)
-        out_deg, in_deg = degrees(g)
-        deg_scores = in_deg if receive else out_deg
-        eig_scores = info.dominant_vector
+    t_star, deg_scores, eig_scores = spec.sweep.limits(g, receive, tol)
 
     if grid is None:
-        if measure in _EXP_MEASURES:
-            grid = np.asarray(EXP_FAMILY_GRID, dtype=np.float64)
-        else:
-            grid = np.asarray(RESOLVENT_FAMILY_FRACTIONS,
-                              dtype=np.float64) * t_star
+        grid = spec.sweep.default_grid(t_star)
     else:
         grid = np.asarray(list(grid), dtype=np.float64)
         if grid.ndim != 1 or grid.shape[0] == 0:
@@ -359,7 +311,7 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
     isim_eig = np.empty(grid.shape[0])
     isim_succ = np.full(grid.shape[0], np.nan)
     for i, t in enumerate(grid):
-        scores = _sweep_candidate(g, measure, side, float(t), lambda1, tol)
+        scores = spec.compute(g, float(t), side=side, tol=tol).scores
         r = rank(scores, tie_tol=tie_tol)
         rankings.append(r)
         isim_deg[i] = intersection_distance(

@@ -213,30 +213,51 @@ def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
     ``beta * norm_bound / s <= 1``; the vector is then advanced ``s`` times
     through a Taylor evaluation of ``exp((beta/s) A)`` at tolerance
     ``tol/s``. Fixed summation order makes the result bitwise reproducible
-    for identical inputs on a given backend.
+    for identical inputs. Raises :class:`DomainError` when the result
+    overflows float64.
     """
     v = _validate_vector(g, v)
     if beta < 0.0:
         raise DomainError(f"beta must be non-negative, got {beta}")
     if beta == 0.0 or g.m == 0:
         return v.copy()
-    lam_hat = _norm_bound(g)
-    s = 1
-    while beta * lam_hat / s > 1.0:
-        s *= 2
     indptr, indices, data = g.adjacency_t() if transpose else g.adjacency()
 
     def matvec(x):
         return _kernels.csr_matvec(indptr, indices, data, x)
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _scaled_taylor(matvec, beta, _norm_bound(g), v, tol, max_terms)
+    return _check_exp_finite(w, beta)
+
+
+def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
+                   tol: float, max_terms: int) -> np.ndarray:
+    """``exp(beta * M) v`` for the operator ``matvec`` with ``||M|| <=
+    norm_bound``: ``s`` Taylor steps of ``exp((beta/s) M)`` at tolerance
+    ``tol/s``, ``s`` the smallest power of two with ``beta * norm_bound / s
+    <= 1``."""
+    s = 1
+    while beta * norm_bound / s > 1.0:
+        s *= 2
     step = beta / s
     inner_tol = tol / s
-    rho_hint = step * lam_hat
+    rho_hint = step * norm_bound
     w = v
     for _ in range(s):
         w, _ = _series_action(matvec, EXPONENTIAL, step, w, inner_tol,
                               max_terms, rho_hint)
     return w
+
+
+def _check_exp_finite(scores: np.ndarray, beta: float) -> np.ndarray:
+    """Name float64 overflow of ``exp(beta * A)`` as the cause of inf/NaN."""
+    if not np.all(np.isfinite(scores)):
+        raise DomainError(
+            f"exp(beta*A) overflows float64 at beta = {beta:.12g}: its "
+            "entries grow like exp(beta*lambda1), past the float64 range "
+            "once beta*lambda1 exceeds ~709; use a smaller beta")
+    return scores
 
 
 def resolvent_solve(g: Graph, alpha: float, v, *, tol: float = DEFAULT_TOL,
@@ -318,7 +339,8 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
     With ``A = Q diag(mu) Q^T``, entry ``i`` is ``sum_k f(t mu_k) Q_ik^2``.
     Exponential and resolvent use closed scalar forms; other series are
     summed scalar-wise. Undirected graphs only, and ``n`` must not exceed
-    :func:`dense_limit`.
+    :func:`dense_limit`. Raises :class:`DomainError` when the exponential
+    overflows float64.
     """
     if g.directed:
         raise UnsupportedOperationError(
@@ -346,8 +368,9 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
 
     x = t * mu
     if f.kind == "exponential":
-        vals = np.exp(x)
-    elif f.kind == "resolvent":
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _check_exp_finite((q * q) @ np.exp(x), t)
+    if f.kind == "resolvent":
         vals = 1.0 / (1.0 - x)
     else:
         vals = _scalar_series(f, x, tol, max_terms)

@@ -1,15 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
-from walkrank import _kernels
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Compile the jitted kernels (a no-op on the numpy backend) before any
-    # timed assertion runs, so budgets measure algorithms rather than the JIT.
-    _kernels.warmup()

@@ -265,6 +265,14 @@ def test_sweep_grid_beyond_feasible_interval_exits_2(capsys):
     assert "feasible" in err
 
 
+def test_sweep_exponential_overflow_exits_2(capsys):
+    code, _, err = run(capsys, "sweep", "--synth", "ring", "--n", "3",
+                       "--measure", "total-communicability", "--grid",
+                       "1,400")
+    assert code == 2
+    assert "overflows float64 at beta = 400" in err
+
+
 def test_sweep_bad_grid_string_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--input", "builtin:karate",
                        "--measure", "katz", "--grid", "0.01,zap")

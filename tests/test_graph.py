@@ -126,7 +126,7 @@ def test_parse_reports_line_numbers():
     with pytest.raises(GraphParseError, match="line 1"):
         parse("1 2 -1\n")
     with pytest.raises(GraphParseError, match="line 1"):
-        parse("0 1\n")  # below the default index base of 1
+        parse("0 1\n", index_base=1)  # below an explicit index base of 1
 
 
 def test_parse_explicit_weighted_flag_is_enforced():
@@ -140,6 +140,13 @@ def test_parse_index_base_zero():
     g = parse("0 1\n1 2\n", index_base=0)
     assert g.n == 3
     assert list(g.node_labels) == [0, 1, 2]
+
+
+def test_parse_default_index_base_follows_id_zero():
+    assert list(parse("1 2\n2 3\n").node_labels) == [1, 2, 3]
+    assert list(parse("1 2\n0 1\n").node_labels) == [0, 1, 2]
+    with pytest.raises(GraphParseError, match="line 1: node id below"):
+        parse("-1 2\n")
 
 
 def test_parse_loops_when_allowed():
@@ -176,8 +183,11 @@ def test_roundtrip_random_graphs():
             if g.m == 0:
                 continue
             h = load_edge_list(io.StringIO(dumps_edge_list(g)),
-                               directed=directed, index_base=0)
+                               directed=directed)
             assert g.edge_tuples() == h.edge_tuples()
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    h = load_edge_list(io.StringIO(dumps_edge_list(g)))
+    assert h.edge_tuples() == g.edge_tuples()
 
 
 # ---------------------------------------------------------------------------

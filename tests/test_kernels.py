@@ -1,8 +1,4 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from walkrank import _kernels
 from walkrank.generators import erdos_renyi
@@ -16,16 +12,6 @@ def random_csr(rng, n=None, directed=True):
     return indptr, indices, rng.uniform(0.1, 2.0, data.shape[0])
 
 
-needs_numba = pytest.mark.skipif(
-    "numba" not in _kernels.available_backends(),
-    reason="numba backend not available")
-
-
-def test_backend_is_selected_and_reported():
-    assert _kernels.get_backend() in _kernels.available_backends()
-    assert "numpy" in _kernels.available_backends()
-
-
 def test_matvec_numpy_matches_dense():
     rng = np.random.default_rng(30)
     for _ in range(10):
@@ -35,23 +21,11 @@ def test_matvec_numpy_matches_dense():
         rows = np.repeat(np.arange(n), np.diff(indptr))
         dense[rows, indices] = data
         x = rng.standard_normal(n)
-        assert np.allclose(_kernels.csr_matvec_numpy(indptr, indices, data, x),
+        assert np.allclose(_kernels.csr_matvec(indptr, indices, data, x),
                            dense @ x)
 
 
-@needs_numba
-def test_backends_agree_on_matvec():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        indptr, indices, data = random_csr(rng)
-        x = rng.standard_normal(indptr.shape[0] - 1)
-        a = _kernels.csr_matvec_numba(indptr, indices, data, x)
-        b = _kernels.csr_matvec_numpy(indptr, indices, data, x)
-        assert np.allclose(a, b, rtol=1e-14, atol=1e-14)
-
-
-@needs_numba
-def test_backends_agree_on_neumann():
+def test_neumann_matches_dense_solve():
     rng = np.random.default_rng(32)
     for _ in range(10):
         indptr, indices, data = random_csr(rng)
@@ -59,28 +33,14 @@ def test_backends_agree_on_neumann():
         rowsum = np.add.reduceat(data, indptr[:-1]) if data.size else np.zeros(n)
         alpha = 0.5 / max(float(rowsum.max(initial=0.0)), 1.0)
         v = rng.uniform(0.5, 1.5, n)
-        xa, ita, da = _kernels.neumann_numba(indptr, indices, data, v,
-                                             alpha, 1e-12, 100_000)
-        xb, itb, db = _kernels.neumann_numpy(indptr, indices, data, v,
-                                             alpha, 1e-12, 100_000)
-        assert ita == itb
-        assert np.allclose(xa, xb, rtol=1e-13)
-        # both solve (I - alpha A) x = v
+        x, _, _ = _kernels.neumann(indptr, indices, data, v, alpha, 1e-12,
+                                   100_000)
+        # solves (I - alpha A) x = v
         dense = np.zeros((n, n))
         rows = np.repeat(np.arange(n), np.diff(indptr))
         dense[rows, indices] = data
         expected = np.linalg.solve(np.eye(n) - alpha * dense, v)
-        assert np.allclose(xa, expected, rtol=1e-9)
-
-
-@needs_numba
-def test_backends_agree_on_triangle_diag():
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        indptr, indices, data = random_csr(rng, directed=False)
-        a = _kernels.triangle_diag_numba(indptr, indices, data)
-        b = _kernels.triangle_diag_numpy(indptr, indices, data)
-        assert np.allclose(a, b, rtol=1e-13)
+        assert np.allclose(x, expected, rtol=1e-9)
 
 
 def test_neumann_reports_iterations_and_step():
@@ -104,41 +64,6 @@ def test_neumann_stops_at_max_iter_without_converging():
                                            0.9, 1e-14, 3)
     assert iterations == 3
     assert diff > 1e-14 * np.abs(x).sum()
-
-
-def _run_with_env(env_value):
-    code = (
-        "import warnings\n"
-        "with warnings.catch_warnings(record=True) as caught:\n"
-        "    warnings.simplefilter('always')\n"
-        "    from walkrank import _kernels\n"
-        "    print(_kernels.get_backend())\n"
-        "    print(len(caught))\n"
-    )
-    import os
-
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("CENTRALITY_BACKEND", None)
-    else:
-        env["CENTRALITY_BACKEND"] = env_value
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    backend, warning_count = proc.stdout.split()
-    return backend, int(warning_count)
-
-
-def test_env_selects_numpy_backend():
-    backend, warnings_seen = _run_with_env("numpy")
-    assert backend == "numpy"
-    assert warnings_seen == 0
-
-
-def test_env_invalid_value_warns_and_defaults():
-    default_backend, _ = _run_with_env(None)
-    backend, warnings_seen = _run_with_env("cuda")
-    assert backend == default_backend
-    assert warnings_seen >= 1
 
 
 def test_warmup_runs_on_selected_backend():

@@ -19,11 +19,8 @@ from walkrank import (
 )
 from walkrank.datasets import karate, six_node_digraph
 from walkrank.generators import strongly_connected_digraph
-from walkrank.ranking import (
-    EXP_FAMILY_GRID,
-    RESOLVENT_FAMILY_FRACTIONS,
-    _align_to,
-)
+from walkrank.measures import EXP_FAMILY_GRID, RESOLVENT_FAMILY_FRACTIONS
+from walkrank.ranking import _align_to
 
 from oracles import brute_isim
 

@@ -150,6 +150,14 @@ def test_exp_action_negative_beta_rejected():
         exp_action(k3(), -1.0, np.ones(3))
 
 
+def test_exponential_overflow_names_its_cause():
+    # lambda1 = 2, so beta * lambda1 = 800 is past float64's exp range
+    with pytest.raises(DomainError, match="overflows float64 at beta = 400"):
+        exp_action(k3(), 400.0, np.ones(3))
+    with pytest.raises(DomainError, match="overflows float64 at beta = 400"):
+        fa_diagonal(k3(), EXPONENTIAL, 400.0)
+
+
 def test_exp_action_matches_dense_exponential():
     rng = np.random.default_rng(12)
     for directed in (False, True):
