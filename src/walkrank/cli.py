@@ -10,7 +10,8 @@ Subcommands:
                       PageRank example
 
 Exit codes: 0 success; 1 demo mismatch; 2 invalid input or parameters
-(message names the violated bound); 3 an iteration or series failed to
+(message names the violated bound) or a file that cannot be read or
+written (message names the path); 3 an iteration or series failed to
 converge within its cap.
 """
 
@@ -180,8 +181,18 @@ def _load_graph(args) -> Graph:
 def _load_preference(spec: str, n: int) -> np.ndarray | None:
     if spec == "uniform":
         return None
+    values: list[float] = []
     with open(spec, encoding="utf-8") as fh:
-        values = [float(line.strip()) for line in fh if line.strip()]
+        for lineno, raw in enumerate(fh, start=1):
+            token = raw.strip()
+            if not token:
+                continue
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ValidationError(
+                    f"{spec}:{lineno}: preference weight must be a number, "
+                    f"got {token!r}") from None
     v = np.asarray(values, dtype=np.float64)
     if v.shape[0] != n:
         raise ValidationError(
@@ -394,7 +405,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except WalkrankError as exc:
+    except (WalkrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

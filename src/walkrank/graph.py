@@ -58,10 +58,18 @@ class Graph:
     Use :meth:`from_edges` (or the loaders in this module) rather than the
     raw constructor; the factory validates, merges duplicates, and
     canonicalizes edge order.
+
+    Data derived from the graph is computed once and kept in :meth:`memo`
+    for the graph's lifetime: the CSR adjacency and its transpose, the
+    connectivity booleans, the dominant eigenpair per ``(side, tol,
+    max_iter)`` and, for undirected graphs, the dense eigendecomposition
+    behind :func:`walkrank.series.fa_diagonal`. The eigendecomposition and
+    the dominant vectors are returned read-only, since every caller shares
+    them.
     """
 
     __slots__ = ("n", "directed", "src", "dst", "weight", "node_labels",
-                 "_csr", "_csr_t")
+                 "_memo")
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
                  weight: np.ndarray, directed: bool,
@@ -74,8 +82,7 @@ class Graph:
         self.node_labels = node_labels
         for arr in (self.src, self.dst, self.weight, self.node_labels):
             arr.setflags(write=False)
-        self._csr = None
-        self._csr_t = None
+        self._memo = {}
 
     # -- construction -----------------------------------------------------
 
@@ -158,6 +165,17 @@ class Graph:
         kind = "digraph" if self.directed else "graph"
         return f"<Graph {kind} n={self.n} m={self.m}>"
 
+    def memo(self, key, compute):
+        """``compute()``, evaluated on the first call for ``key`` only.
+
+        Later calls with the same key return the stored value. A
+        ``compute`` that raises stores nothing, so the next call raises
+        again.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     # -- adjacency ----------------------------------------------------------
 
     def _build_csr(self, transpose: bool):
@@ -181,17 +199,13 @@ class Graph:
 
     def adjacency(self):
         """CSR triple ``(indptr, indices, data)`` of the adjacency matrix."""
-        if self._csr is None:
-            self._csr = self._build_csr(transpose=False)
-        return self._csr
+        return self.memo("csr", lambda: self._build_csr(transpose=False))
 
     def adjacency_t(self):
         """CSR triple of the transposed adjacency matrix."""
         if not self.directed:
             return self.adjacency()
-        if self._csr_t is None:
-            self._csr_t = self._build_csr(transpose=True)
-        return self._csr_t
+        return self.memo("csr_t", lambda: self._build_csr(transpose=True))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x``."""
@@ -537,7 +551,11 @@ def largest_scc(g: Graph) -> tuple[Graph, np.ndarray]:
 
 
 def is_connected(g: Graph) -> bool:
-    """Connectivity of the undirected skeleton (BFS)."""
+    """Connectivity of the undirected skeleton (BFS, once per graph)."""
+    return g.memo("connected", lambda: _bfs_connected(g))
+
+
+def _bfs_connected(g: Graph) -> bool:
     if g.n == 0:
         return False
     if g.n == 1:
@@ -570,11 +588,14 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_strongly_connected(g: Graph) -> bool:
+    """Strong connectivity (Tarjan, once per graph); for an undirected
+    graph, :func:`is_connected`."""
     if g.n == 0:
         return False
     if not g.directed:
         return is_connected(g)
-    return max(len(c) for c in _tarjan_components(g)) == g.n
+    return g.memo("strongly_connected",
+                  lambda: max(len(c) for c in _tarjan_components(g)) == g.n)
 
 
 def triangle_counts(g: Graph) -> np.ndarray:

@@ -70,7 +70,6 @@ class CentralityVector:
     parameter: float | None
     scores: np.ndarray
     solver_meta: dict = field(default_factory=dict)
-    preference: str | None = None
 
     def __post_init__(self):
         self.scores.setflags(write=False)
@@ -102,7 +101,7 @@ def eigenvector_centrality(g: Graph, *, side: str = "broadcast",
     meta = {"lambda1": info.lambda1, "iterations": info.iterations,
             "residual": info.residual}
     return CentralityVector("eigenvector", resolved, None,
-                            info.dominant_vector.copy(), meta)
+                            info.dominant_vector, meta)
 
 
 def katz(g: Graph, alpha: float | None = None, *, side: str = "broadcast",

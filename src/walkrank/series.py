@@ -11,7 +11,8 @@ Three evaluation strategies live here:
 * :func:`exp_action` / :func:`resolvent_solve` — specialized fast paths for
   the two workhorse functions (scaled Taylor stepping, Neumann iteration);
 * :func:`fa_diagonal` — dense-eigendecomposition route to ``diag(f(tA))``
-  for undirected graphs up to a configurable size limit.
+  for undirected graphs up to a configurable size limit; the
+  decomposition is computed once per graph.
 """
 
 from __future__ import annotations
@@ -341,6 +342,12 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
     summed scalar-wise. Undirected graphs only, and ``n`` must not exceed
     :func:`dense_limit`. Raises :class:`DomainError` when the exponential
     overflows float64.
+
+    The pair ``(mu, Q * Q)`` does not depend on ``f`` or ``t``: it is
+    computed once per graph (see :meth:`Graph.memo`), kept read-only, and
+    reused by every later call, so a sweep pays for one ``eigh``. It holds
+    ``n**2`` floats for the graph's lifetime. The checks above run before
+    the lookup, on every call.
     """
     if g.directed:
         raise UnsupportedOperationError(
@@ -357,7 +364,7 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
     if g.n == 0:
         return np.zeros(0)
 
-    mu, q = np.linalg.eigh(g.to_dense())
+    mu, w = g.memo("eigh", lambda: _squared_eigh(g))
     lambda1 = float(mu[-1])
     if math.isfinite(f.radius) and t > 0.0:
         _, t_star = feasible_interval(f, lambda1)
@@ -369,9 +376,19 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
     x = t * mu
     if f.kind == "exponential":
         with np.errstate(over="ignore", invalid="ignore"):
-            return _check_exp_finite((q * q) @ np.exp(x), t)
+            return _check_exp_finite(w @ np.exp(x), t)
     if f.kind == "resolvent":
         vals = 1.0 / (1.0 - x)
     else:
         vals = _scalar_series(f, x, tol, max_terms)
-    return (q * q) @ vals
+    return w @ vals
+
+
+def _squared_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(mu, Q * Q)`` for ``A = Q diag(mu) Q^T``, both read-only; ``Q`` is
+    squared in place so that no second ``n x n`` array is made."""
+    mu, q = np.linalg.eigh(g.to_dense())
+    np.multiply(q, q, out=q)
+    mu.setflags(write=False)
+    q.setflags(write=False)
+    return mu, q

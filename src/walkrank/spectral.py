@@ -42,9 +42,9 @@ DEFAULT_MAX_ITER = 100_000
 class SpectralInfo:
     """Result of a dominant-eigenpair computation.
 
-    ``dominant_vector`` is entrywise positive with unit 2-norm. ``lambda2``
-    is the signed algebraic second eigenvalue when it has been computed
-    (undirected graphs only), else ``None``.
+    ``dominant_vector`` is entrywise positive with unit 2-norm, and
+    read-only. ``lambda2`` is the signed algebraic second eigenvalue when it
+    has been computed (undirected graphs only), else ``None``.
     """
 
     lambda1: float
@@ -53,6 +53,9 @@ class SpectralInfo:
     iterations: int
     residual: float
     lambda2: float | None = None
+
+    def __post_init__(self):
+        self.dominant_vector.setflags(write=False)
 
     @property
     def lambda2_abs(self) -> float | None:
@@ -89,9 +92,22 @@ def dominant_eigenpair(g: Graph, *, side: str = "right",
     Raises :class:`ConvergenceError` (carrying the best iterate in ``best``)
     if ``max_iter`` steps do not reach ``||A v - lambda1 v||_2 <= tol *
     lambda1``.
+
+    Without a ``start`` vector the pair is computed once per graph and
+    ``(side, tol, max_iter)`` (see :meth:`Graph.memo`), and every such call
+    returns the same :class:`SpectralInfo`; its ``dominant_vector`` is
+    read-only. A call that raises stores nothing.
     """
     if side not in ("right", "left"):
         raise ValidationError(f"side must be 'right' or 'left', got {side!r}")
+    if start is not None:
+        return _power_iteration(g, side, tol, max_iter, start)
+    return g.memo(("dominant_eigenpair", side, tol, max_iter),
+                  lambda: _power_iteration(g, side, tol, max_iter, None))
+
+
+def _power_iteration(g: Graph, side: str, tol: float, max_iter: int,
+                     start: np.ndarray | None) -> SpectralInfo:
     _require_irreducible(g)
     n = g.n
     if n == 1:

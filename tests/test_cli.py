@@ -138,6 +138,16 @@ def test_compute_preference_file_validation(capsys, tmp_path):
     assert "6 nodes" in err
 
 
+def test_compute_preference_file_rejects_non_number(capsys, tmp_path):
+    pref = tmp_path / "pref.txt"
+    pref.write_text("0.5\n\nabc\n")
+    code, _, err = run(capsys, "compute", "--input", "builtin:six-node",
+                       "--measure", "pagerank", "--preference", str(pref))
+    assert code == 2
+    assert f"{pref}:3:" in err and "'abc'" in err
+    assert "Traceback" not in err
+
+
 def test_compute_writes_output_file(capsys, tmp_path, k3_file):
     out_path = tmp_path / "scores.csv"
     code, out, _ = run(capsys, "compute", "--input", k3_file,
@@ -150,6 +160,15 @@ def test_compute_writes_output_file(capsys, tmp_path, k3_file):
 # ---------------------------------------------------------------------------
 # input plumbing
 # ---------------------------------------------------------------------------
+
+def test_missing_input_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, _, err = run(capsys, "compute", "--input", str(missing),
+                       "--measure", "degree")
+    assert code == 2
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
 
 def test_zero_based_edge_list_detected(capsys, tmp_path):
     path = tmp_path / "zero.txt"
@@ -378,6 +397,16 @@ def test_compute_output_roundtrips_through_compare(capsys, tmp_path):
     code, out, _ = run(capsys, "compare", str(a), str(b))
     assert code == 0
     assert 0.0 <= float(out.strip()) <= 1.0
+
+
+def test_compare_missing_file_exits_2(capsys, tmp_path):
+    present = tmp_path / "a.csv"
+    present.write_text("1,0.5\n")
+    missing = tmp_path / "b.csv"
+    code, _, err = run(capsys, "compare", str(present), str(missing))
+    assert code == 2
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
 
 
 def test_compare_rejects_empty_file(capsys, tmp_path):

@@ -19,6 +19,7 @@ from walkrank import (
     exp_action,
     fa_diagonal,
     feasible_interval,
+    limit_sweep,
     resolvent_solve,
 )
 from walkrank.datasets import karate
@@ -291,6 +292,37 @@ def test_diagonal_cross_checks_exp_action():
         assert exp_action(g, beta, e_i)[i] == pytest.approx(diag[i], rel=1e-8)
 
 
+def test_sweep_runs_one_eigh_per_graph(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    g = karate()
+    limit_sweep(g, "exp-subgraph")
+    limit_sweep(g, "resolvent-subgraph")
+    assert calls == [(g.n, g.n)]
+
+
+def test_cached_diagonal_is_bitwise_fresh_and_read_only():
+    g = karate()
+    fa_diagonal(g, EXPONENTIAL, 1.0)  # fills the cache
+    fresh = karate()
+    for f, t in ((EXPONENTIAL, 2.0), (RESOLVENT, 0.05)):
+        assert np.array_equal(fa_diagonal(g, f, t), fa_diagonal(fresh, f, t))
+    # the unsquared route: diag(f(tA)) = (Q * Q) @ f(t mu)
+    mu, q = np.linalg.eigh(g.to_dense())
+    assert np.array_equal(fa_diagonal(g, EXPONENTIAL, 2.0),
+                          (q * q) @ np.exp(2.0 * mu))
+    mu, w = g.memo("eigh", pytest.fail)  # already stored: not recomputed
+    for arr in (mu, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_dense_limit_env_override(monkeypatch):
     assert dense_limit() == 3000
     monkeypatch.setenv("CENTRALITY_DENSE_LIMIT", "10")
@@ -300,6 +332,10 @@ def test_dense_limit_env_override(monkeypatch):
         fa_diagonal(g, EXPONENTIAL, 1.0)
     monkeypatch.setenv("CENTRALITY_DENSE_LIMIT", "12")
     assert fa_diagonal(g, EXPONENTIAL, 1.0).min() > 0
+    # the limit is checked before the cached decomposition is looked up
+    monkeypatch.setenv("CENTRALITY_DENSE_LIMIT", "10")
+    with pytest.raises(CapacityError):
+        fa_diagonal(g, EXPONENTIAL, 1.0)
     monkeypatch.setenv("CENTRALITY_DENSE_LIMIT", "many")
     with pytest.raises(ValidationError):
         dense_limit()

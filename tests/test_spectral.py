@@ -9,9 +9,12 @@ from walkrank import (
     UnsupportedOperationError,
     ValidationError,
     dominant_eigenpair,
+    limit_sweep,
     second_eigenvalue,
     spectral_gap,
 )
+from walkrank import graph as graph_module
+from walkrank import spectral as spectral_module
 from walkrank.datasets import karate
 from walkrank.generators import (
     connected_erdos_renyi,
@@ -172,3 +175,43 @@ def test_start_vector_validation():
 def test_invalid_side_rejected():
     with pytest.raises(ValidationError):
         dominant_eigenpair(k3(), side="middle")
+
+
+def test_katz_sweep_runs_one_power_iteration_per_side(monkeypatch):
+    sides = []
+    tarjan_runs = []
+    power_iteration = spectral_module._power_iteration
+    tarjan = graph_module._tarjan_components
+
+    def counting_power_iteration(g, side, *args):
+        sides.append(side)
+        return power_iteration(g, side, *args)
+
+    def counting_tarjan(g):
+        tarjan_runs.append(g.n)
+        return tarjan(g)
+
+    monkeypatch.setattr(spectral_module, "_power_iteration",
+                        counting_power_iteration)
+    monkeypatch.setattr(graph_module, "_tarjan_components", counting_tarjan)
+    g = strongly_connected_digraph(40, 0.1, 5)
+    limit_sweep(g, "katz", side="receive")
+    assert sorted(sides) == ["left", "right"]
+    assert tarjan_runs == [g.n]
+
+
+def test_cached_eigenpair_is_shared_and_read_only():
+    g = karate()
+    info = dominant_eigenpair(g)
+    assert dominant_eigenpair(g) is info
+    assert dominant_eigenpair(g, tol=1e-8) is not info
+    with pytest.raises(ValueError):
+        info.dominant_vector[0] = 0.0
+
+
+def test_failed_eigenpair_is_not_cached():
+    g = karate()
+    with pytest.raises(ConvergenceError):
+        dominant_eigenpair(g, max_iter=1)
+    with pytest.raises(ConvergenceError):
+        dominant_eigenpair(g, max_iter=1)
