@@ -63,9 +63,9 @@ class Graph:
     for the graph's lifetime: the CSR adjacency and its transpose, the
     connectivity booleans, the dominant eigenpair per ``(side, tol,
     max_iter)`` and, for undirected graphs, the dense eigendecomposition
-    behind :func:`walkrank.series.fa_diagonal`. The eigendecomposition and
-    the dominant vectors are returned read-only, since every caller shares
-    them.
+    behind :func:`walkrank.series.fa_diagonal`. The CSR arrays, the
+    eigendecomposition and the dominant vectors are returned read-only,
+    since every caller (PageRank models included) shares them.
     """
 
     __slots__ = ("n", "directed", "src", "dst", "weight", "node_labels",
@@ -195,6 +195,8 @@ class Graph:
         counts = np.bincount(rows, minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
+        for arr in (indptr, indices, data):
+            arr.setflags(write=False)
         return indptr, indices, data
 
     def adjacency(self):

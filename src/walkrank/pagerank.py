@@ -123,25 +123,18 @@ def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
     dangling = (out == 0.0).astype(np.float64)
     denom = np.where(out == 0.0, 1.0, out)
 
-    # H^T = D^{-1} A shares the adjacency CSR structure with scaled data
+    # H^T = D^{-1} A and H = A^T D^{-1} share the graph's CSR structures
+    # (read-only, cached on the graph) with data scaled by the source node
     a_indptr, a_indices, a_data = g.adjacency()
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(a_indptr))
     ht_data = a_data / denom[rows]
-
-    # H = transpose: re-sort the same entries by (column, row)
-    order = np.lexsort((rows, a_indices))
-    h_rows = a_indices[order]
-    h_indices = rows[order]
-    h_data = ht_data[order]
-    counts = np.bincount(h_rows, minlength=n)
-    h_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=h_indptr[1:])
+    h_indptr, h_indices, at_data = g.adjacency_t()
+    h_data = at_data / denom[h_indices]
 
     model = GoogleModel(n, float(alpha), v, dangling,
-                        h_indptr, h_indices.astype(np.int64), h_data,
+                        h_indptr, h_indices, h_data,
                         a_indptr, a_indices, ht_data)
-    for arr in (model.preference, model.dangling, model.h_indptr,
-                model.h_indices, model.h_data, model.ht_data):
+    for arr in (v, dangling, h_data, ht_data):
         arr.setflags(write=False)
     return model
 

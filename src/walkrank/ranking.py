@@ -1,8 +1,8 @@
 """Rankings, the top-k intersection distance, and parameter sweeps.
 
 A :class:`Ranking` is a deterministic ordering of node ids — descending
-score, ascending id on exact ties — together with a partition of positions
-into tie groups (maximal runs whose scores agree within a relative
+score, ascending id on exact ties — together with the start positions of
+its tie groups (maximal runs whose scores agree within a relative
 tolerance). Rankings derived from parameterized measures are compared with
 the intersection distance; :func:`limit_sweep` traces a measure across a
 parameter grid and scores each point against its two limiting references
@@ -41,33 +41,47 @@ DEFAULT_BAND_THRESHOLD = 0.05
 
 @dataclass(frozen=True)
 class Ranking:
-    """Total order over node ids with tie-group annotations.
+    """Total order over node ids with its tie groups.
 
-    ``order[p]`` is the node at position ``p`` (best first); ``tie_groups``
-    partitions positions ``0..n-1`` into maximal runs of tied scores.
+    ``order[p]`` is the node at position ``p`` (best first). Tie groups are
+    runs of positions, stored as ``tie_starts``: the first position of each
+    group, ascending (empty when ``n == 0``). Both arrays are read-only.
     """
 
     order: np.ndarray
-    tie_groups: tuple[tuple[int, ...], ...]
+    tie_starts: np.ndarray
 
     def __post_init__(self):
         self.order.setflags(write=False)
+        self.tie_starts.setflags(write=False)
 
     @property
     def n(self) -> int:
         return int(self.order.shape[0])
 
+    @property
+    def tie_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Tie groups as tuples of positions."""
+        bounds = [*self.tie_starts.tolist(), self.n]
+        return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+
     def group_ids(self) -> tuple[tuple[int, ...], ...]:
         """Tie groups as node ids instead of positions."""
-        return tuple(tuple(int(self.order[p]) for p in grp)
+        return tuple(tuple(self.order[list(grp)].tolist())
                      for grp in self.tie_groups)
+
+
+def _group_at(r: Ranking) -> np.ndarray:
+    """Index of the tie group holding each position of ``r``."""
+    sizes = np.diff(r.tie_starts, append=r.n)
+    return np.repeat(np.arange(sizes.shape[0]), sizes)
 
 
 def rank(scores, *, tie_tol: float = DEFAULT_TIE_TOL) -> Ranking:
     """Order nodes by descending score, ascending id on exact ties.
 
-    Positions whose scores differ by at most ``tie_tol`` relative (chained
-    over consecutive sorted entries) form one tie group.
+    A tie group starts at every position whose score ``b`` differs from
+    the previous score ``a`` by more than ``tie_tol * max(|a|, |b|)``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
@@ -75,19 +89,12 @@ def rank(scores, *, tie_tol: float = DEFAULT_TIE_TOL) -> Ranking:
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite to be ranked")
     n = scores.shape[0]
-    order = np.lexsort((np.arange(n), -scores))
-    sorted_scores = scores[order]
-    groups: list[tuple[int, ...]] = []
-    start = 0
-    for p in range(1, n + 1):
-        if p == n:
-            groups.append(tuple(range(start, p)))
-            break
-        a, b = sorted_scores[p - 1], sorted_scores[p]
-        if abs(a - b) > tie_tol * max(abs(a), abs(b)):
-            groups.append(tuple(range(start, p)))
-            start = p
-    return Ranking(order.astype(np.int64), tuple(groups))
+    order = np.lexsort((np.arange(n), -scores)).astype(np.int64)
+    s = scores[order]
+    breaks = np.abs(s[:-1] - s[1:]) > tie_tol * np.maximum(np.abs(s[:-1]),
+                                                             np.abs(s[1:]))
+    starts = np.flatnonzero(np.concatenate([[n > 0], breaks]))
+    return Ranking(order, starts.astype(np.int64))
 
 
 def _as_order(x) -> np.ndarray:
@@ -105,7 +112,9 @@ def intersection_distance(a, b, k: int | None = None) -> float:
     ``isim_k = (1/k) * sum_{i=1..k} |A_i symdiff B_i| / (2 i)`` where
     ``A_i``/``B_i`` are the top-``i`` prefix sets. 0 means the prefixes
     agree as sets at every depth; 1 means the top-``k`` lists are disjoint.
-    Both arguments must rank the same node set.
+    Both arguments must rank the same set of node ids. The overlap
+    ``|A_i & B_i|`` counts the nodes whose later position in the two
+    rankings is below ``i``: one ``bincount`` and ``cumsum`` give all ``k``.
     """
     a = _as_order(a)
     b = _as_order(b)
@@ -113,59 +122,44 @@ def intersection_distance(a, b, k: int | None = None) -> float:
     if b.shape[0] != n:
         raise ValidationError(
             f"rankings have different lengths: {n} vs {b.shape[0]}")
-    combined = np.concatenate([a, b])
-    uniq, inv = np.unique(combined, return_inverse=True)
-    if (uniq.shape[0] != n or np.unique(a).shape[0] != n
-            or np.unique(b).shape[0] != n):
+    uniq, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    # position of each node in a and in b; n marks a node one of them lacks
+    pos = np.full((2, uniq.shape[0]), n, dtype=np.int64)
+    pos[0, inv[:n]] = np.arange(n)
+    pos[1, inv[n:]] = np.arange(n)
+    later = pos.max(axis=0)
+    if uniq.shape[0] != n or np.any(later == n):
         raise ValidationError("rankings must cover the same set of node ids")
-    a_idx = inv[:n]
-    b_idx = inv[n:]
     if k is None:
         k = n
     if not (1 <= k <= n):
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
 
-    in_a = np.zeros(n, dtype=bool)
-    in_b = np.zeros(n, dtype=bool)
-    overlap = 0
-    total = 0.0
-    for i in range(k):
-        x = a_idx[i]
-        y = b_idx[i]
-        if x == y:
-            overlap += 1
-            in_a[x] = True
-            in_b[x] = True
-        else:
-            if in_b[x]:
-                overlap += 1
-            if in_a[y]:
-                overlap += 1
-            in_a[x] = True
-            in_b[y] = True
-        total += 1.0 - overlap / (i + 1.0)
-    return total / k
+    overlap = np.cumsum(np.bincount(later, minlength=n)[:k])
+    terms = 1.0 - overlap / np.arange(1.0, k + 1.0)
+    return float(np.cumsum(terms)[-1] / k)
 
 
 def equal_modulo_ties(candidate, reference: Ranking) -> bool:
     """Does ``candidate`` order equal ``reference`` up to reference ties?
 
     True iff the candidate lists the reference's tie groups as contiguous
-    blocks, in group order (any order within a block).
+    blocks, in group order (any order within a block): it is a permutation
+    of ``0..n-1`` whose node at each position is in that position's group.
     """
     cand = _as_order(candidate)
-    if cand.shape[0] != reference.n:
+    n = reference.n
+    if cand.shape[0] != n:
         raise ValidationError(
-            f"rankings have different lengths: {cand.shape[0]} vs "
-            f"{reference.n}")
-    pos = 0
-    for group in reference.tie_groups:
-        ids = {int(reference.order[p]) for p in group}
-        block = {int(x) for x in cand[pos:pos + len(group)]}
-        if block != ids:
-            return False
-        pos += len(group)
-    return True
+            f"rankings have different lengths: {cand.shape[0]} vs {n}")
+    if not np.all((cand >= 0) & (cand < n) & (cand % 1 == 0)):
+        return False
+    ids = cand.astype(np.int64)
+    group = _group_at(reference)
+    group_of_node = np.empty_like(group)
+    group_of_node[reference.order] = group
+    return bool(np.all(np.bincount(ids, minlength=n) == 1)
+                and np.array_equal(group_of_node[ids], group))
 
 
 def _align_to(reference: Ranking, candidate) -> np.ndarray:
@@ -175,19 +169,13 @@ def _align_to(reference: Ranking, candidate) -> np.ndarray:
     The aligned order is the member of the reference's tie-equivalence class
     closest to the candidate, so ``intersection_distance(candidate,
     aligned)`` is 0 exactly when the candidate matches the reference modulo
-    its ties.
+    its ties. One sort by (tie group, position in the candidate).
     """
     cand = _as_order(candidate)
     pos = np.empty(cand.shape[0], dtype=np.int64)
     pos[cand] = np.arange(cand.shape[0])
-    out = np.empty(reference.n, dtype=np.int64)
-    cursor = 0
-    for group in reference.tie_groups:
-        ids = reference.order[list(group)]
-        ids = ids[np.argsort(pos[ids], kind="stable")]
-        out[cursor:cursor + len(group)] = ids
-        cursor += len(group)
-    return out
+    ref = reference.order
+    return ref[np.lexsort((pos[ref], _group_at(reference)))]
 
 
 # ---------------------------------------------------------------------------

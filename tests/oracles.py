@@ -72,6 +72,39 @@ def brute_isim(a, b, k):
     return total / k
 
 
+def brute_tie_partition(scores, tie_tol):
+    """Tie groups of the ranking of ``scores``, as sets of positions.
+
+    Positions sort by descending score, then ascending id. Positions ``p <
+    q`` share a group iff every adjacent pair of sorted scores between them
+    agrees within ``tie_tol`` relative.
+    """
+    ordered = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    s = [float(scores[i]) for i in ordered]
+
+    def tied(p):
+        return abs(s[p] - s[p + 1]) <= tie_tol * max(abs(s[p]), abs(s[p + 1]))
+
+    return {frozenset(q for q in range(len(s))
+                      if all(tied(r) for r in range(min(p, q), max(p, q))))
+            for p in range(len(s))}
+
+
+def brute_align(groups, candidate):
+    """The ordering of the tie groups (node-id sets, best group first) that
+    lists each group's members in their candidate order."""
+    return [x for group in groups for x in candidate if x in group]
+
+
+def brute_equal_modulo_ties(candidate, groups):
+    """Is ``candidate`` a permutation of the groups' ids that lists each
+    group as one block, in group order?"""
+    ids = set().union(*groups)
+    return (len(candidate) == len(set(candidate)) == len(ids)
+            and set(candidate) == ids
+            and list(candidate) == brute_align(groups, candidate))
+
+
 def dense_stochastic(g, alpha, v=None):
     """Materialized (S, v) pair for the teleportation model of a digraph."""
     a = g.to_dense()

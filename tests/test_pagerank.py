@@ -48,6 +48,32 @@ def test_model_h_matches_hand_computed_rationals():
     assert list(model.dangling) == [0, 1, 0, 0, 0, 0]
 
 
+def test_model_h_shares_the_graph_transposed_csr():
+    rng = np.random.default_rng(19)
+    for case in range(40):
+        n = int(rng.integers(1, 25))
+        directed = case % 2 == 0
+        edges = [(int(u), int(v), float(rng.choice([1.0, 0.5, 2.5])))
+                 for u, v in rng.integers(0, n, size=(2 * n, 2))]
+        g = Graph.from_edges(n, edges, directed=directed, allow_loops=True)
+        model = build_model(g, 0.85)
+        indptr_t, indices_t, _ = g.adjacency_t()
+        assert model.h_indptr is indptr_t and model.h_indices is indices_t
+        a = g.to_dense()
+        out = a.sum(axis=1)
+        expected_h = a.T / np.where(out == 0.0, 1.0, out)
+        h = np.zeros((n, n))
+        rows = np.repeat(np.arange(n), np.diff(model.h_indptr))
+        h[rows, model.h_indices] = model.h_data
+        assert np.allclose(h, expected_h, rtol=1e-15, atol=0.0)
+        assert np.array_equal(model.dangling, (out == 0.0).astype(float))
+        for name in ("preference", "dangling", "h_indptr", "h_indices",
+                     "h_data", "ht_indptr", "ht_indices", "ht_data"):
+            assert not getattr(model, name).flags.writeable, name
+        for arr in (*g.adjacency(), *g.adjacency_t()):
+            assert not arr.flags.writeable
+
+
 def test_model_apply_matches_dense_google_matrix():
     rng = np.random.default_rng(17)
     for _ in range(8):

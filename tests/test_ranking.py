@@ -22,7 +22,12 @@ from walkrank.generators import strongly_connected_digraph
 from walkrank.measures import EXP_FAMILY_GRID, RESOLVENT_FAMILY_FRACTIONS
 from walkrank.ranking import _align_to
 
-from oracles import brute_isim
+from oracles import (
+    brute_align,
+    brute_equal_modulo_ties,
+    brute_isim,
+    brute_tie_partition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +40,12 @@ def test_rank_orders_descending_with_id_tiebreak():
     assert r.tie_groups == ((0,), (1, 2))
     assert r.group_ids() == ((1,), (0, 2))
     assert r.n == 3
+    assert r.tie_starts.dtype == np.int64
+    assert list(r.tie_starts) == [0, 1]
+    with pytest.raises(ValueError):
+        r.tie_starts[0] = 1
+    with pytest.raises(ValueError):
+        r.order[0] = 1
 
 
 def test_rank_tie_tolerance_is_relative_and_chained():
@@ -43,6 +54,14 @@ def test_rank_tie_tolerance_is_relative_and_chained():
     assert r.tie_groups == ((0,), (1, 2))
     tight = rank(scores, tie_tol=1e-12)
     assert tight.tie_groups == ((0,), (1,), (2,))
+
+
+def test_rank_of_nothing_is_empty():
+    r = rank([])
+    assert r.n == 0 and r.order.shape == (0,)
+    assert r.tie_starts.shape == (0,)
+    assert r.tie_groups == () and r.group_ids() == ()
+    assert equal_modulo_ties([], r)
 
 
 def test_rank_validation():
@@ -99,18 +118,31 @@ def test_isim_accepts_rankings():
 
 
 def test_isim_validation():
-    with pytest.raises(ValidationError):
-        intersection_distance([0, 1], [0, 1, 2])
-    with pytest.raises(ValidationError):
-        intersection_distance([0, 1, 2], [0, 0, 1])
-    with pytest.raises(ValidationError):
-        intersection_distance([0, 0, 1], [0, 1, 2])
-    with pytest.raises(ValidationError):
-        intersection_distance([0, 1, 2], [4, 5, 6])
-    with pytest.raises(ValidationError):
-        intersection_distance([0, 1], [1, 0], k=0)
-    with pytest.raises(ValidationError):
-        intersection_distance([0, 1], [1, 0], k=3)
+    # each case fails two checks when k is also out of range; the message
+    # names the one checked first
+    cases = [
+        ([[0, 1]], [0, 1], None, "a ranking must be a 1-d sequence"),
+        ([0, 1], [0, 1, 2], 5, "different lengths: 2 vs 3"),
+        ([0, 1, 2], [0, 0, 1], 9, "same set of node ids"),
+        ([0, 0, 1], [0, 1, 2], 9, "same set of node ids"),
+        ([0, 0, 1], [0, 1, 1], 9, "same set of node ids"),
+        ([0, 1, 2], [4, 5, 6], 9, "same set of node ids"),
+        ([0, 1], [1, 0], 0, r"k must lie in 1\.\.2, got 0"),
+        ([0, 1], [1, 0], 3, r"k must lie in 1\.\.2, got 3"),
+        ([], [], None, r"k must lie in 1\.\.0, got 0"),
+    ]
+    for a, b, k, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            intersection_distance(a, b, k)
+
+
+def test_isim_accepts_any_node_labels():
+    # compare passes node labels, which need not be 0..n-1 or integers
+    assert intersection_distance([5, 7, 9], [7, 5, 9], k=2) == 0.5
+    assert intersection_distance([5, 7, 9], [9, 7, 5]) == (1 + 0.5 + 0) / 3
+    assert intersection_distance([0.5, -2.0], [-2.0, 0.5], k=1) == 1.0
+    with pytest.raises(ValidationError, match="same set"):
+        intersection_distance([5, 7, 9], [5, 7, 8])
 
 
 @st.composite
@@ -128,8 +160,8 @@ def _two_permutations(draw):
 def test_isim_matches_brute_force_and_is_symmetric(case):
     a, b, k = case
     d = intersection_distance(a, b, k)
-    assert d == pytest.approx(brute_isim(list(a), list(b), k), abs=1e-12)
-    assert d == pytest.approx(intersection_distance(b, a, k), abs=1e-12)
+    assert d == brute_isim(list(a), list(b), k)
+    assert d == intersection_distance(b, a, k)
     assert 0.0 <= d <= 1.0
 
 
@@ -145,6 +177,16 @@ def test_equal_modulo_ties():
     assert not equal_modulo_ties([1, 0, 2, 3], reference)
     with pytest.raises(ValidationError):
         equal_modulo_ties([0, 1], reference)
+    # ids outside 0..3, repeated or not integral are a mismatch, not an error
+    assert not equal_modulo_ties([0, 1, 2, 4], reference)
+    assert not equal_modulo_ties([-1, 1, 2, 3], reference)
+    assert not equal_modulo_ties([0, 1, 1, 3], reference)
+    assert not equal_modulo_ties([0, 2, 2, 3], reference)
+    assert not equal_modulo_ties([0.0, 1.5, 2.0, 3.0], reference)
+    assert not equal_modulo_ties([0.0, float("nan"), 2.0, 3.0], reference)
+    assert equal_modulo_ties([0.0, 2.0, 1.0, 3.0], reference)
+    assert equal_modulo_ties(np.array([0, 2, 1, 3], dtype=np.int32),
+                             reference)
 
 
 def test_align_to_reorders_within_reference_ties_only():
@@ -154,6 +196,49 @@ def test_align_to_reorders_within_reference_ties_only():
     aligned = _align_to(reference, np.array([2, 3, 1, 0]))
     # group {1, 2} follows the candidate's relative order (2 before 1)
     assert list(aligned) == [0, 2, 1, 3]
+
+
+def _tie_heavy_scores(rng, n, tie_tol):
+    """Scores drawn from a few values, each nudged by a relative amount
+    below or above ``tie_tol`` (or not at all)."""
+    values = rng.choice([-3.0, 0.0, 0.5, 1.0, 2.0], size=n)
+    nudge = rng.choice([0.0, 0.1, 0.9, 3.0, 30.0], size=n) * tie_tol
+    return values * (1.0 + rng.choice([-1.0, 1.0], size=n) * nudge)
+
+
+def test_tie_groups_alignment_and_isim_match_oracles_under_heavy_ties():
+    rng = np.random.default_rng(41)
+    for case in range(300):
+        n = case % 61
+        tie_tol = float(rng.choice([1e-9, 1e-6, 1e-3]))
+        scores = _tie_heavy_scores(rng, n, tie_tol)
+        r = rank(scores, tie_tol=tie_tol)
+        assert list(r.order) == sorted(range(n), key=lambda i: (-scores[i], i))
+        assert {frozenset(grp) for grp in r.tie_groups} == \
+            brute_tie_partition(scores, tie_tol)
+        groups = [set(grp) for grp in r.group_ids()]
+        assert sorted(x for grp in groups for x in grp) == list(range(n))
+        if n == 0:
+            continue
+
+        candidates = [rng.permutation(n), r.order.copy()]
+        aligned = _align_to(r, candidates[0])
+        swapped = aligned.copy()
+        i, j = rng.choice(n, size=2)
+        swapped[[i, j]] = swapped[[j, i]]
+        candidates += [aligned, swapped]
+        for cand in candidates:
+            cand_list = [int(x) for x in cand]
+            expected = brute_align(groups, cand_list)
+            assert list(_align_to(r, cand)) == expected
+            assert equal_modulo_ties(cand, r) == \
+                brute_equal_modulo_ties(cand_list, groups)
+            assert equal_modulo_ties(expected, r)
+            k = int(rng.integers(1, n + 1))
+            assert intersection_distance(cand, r, k) == \
+                brute_isim(cand_list, list(r.order), k)
+            assert intersection_distance(cand, expected, k) == \
+                brute_isim(cand_list, expected, k)
 
 
 # ---------------------------------------------------------------------------
