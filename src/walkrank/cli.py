@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -41,7 +42,15 @@ from .errors import (
     WalkrankError,
 )
 from .generators import erdos_renyi, ring, star
-from .graph import Graph, load_edge_list, load_matrix_market
+from .graph import (
+    Graph,
+    _accepts,
+    _first_rejected,
+    _loadtxt,
+    _read_lines,
+    load_edge_list,
+    load_matrix_market,
+)
 from .measures import MEASURES, SWEEPABLE
 from .pagerank import build_model, pagerank_power, small_alpha_limit
 from .ranking import convergence_report, intersection_distance, limit_sweep, rank
@@ -241,10 +250,9 @@ def cmd_compute(args) -> int:
     cv = spec.compute(g, t, side=args.side, tol=args.tol, preference=v,
                       damping=args.alpha)
 
-    ranking = rank(cv.scores)
-    position = np.empty(g.n, dtype=np.int64)
-    position[ranking.order] = np.arange(1, g.n + 1)
-    labels = g.node_labels
+    order = rank(cv.scores).order
+    rows = list(zip(g.node_labels[order].tolist(),
+                    cv.scores[order].tolist(), range(1, g.n + 1)))
 
     if args.json:
         payload = {
@@ -252,17 +260,13 @@ def cmd_compute(args) -> int:
             "side": cv.side,
             "parameter": cv.parameter,
             "preference": args.preference if pagerank else None,
-            "scores": [
-                {"node": int(labels[i]), "score": float(cv.scores[i]),
-                 "rank": int(position[i])}
-                for i in ranking.order
-            ],
+            "scores": [{"node": node, "score": score, "rank": r}
+                       for node, score, r in rows],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = ["node,score,rank"]
-        for i in ranking.order:
-            lines.append(f"{labels[i]},{cv.scores[i]:.12g},{position[i]}")
+        lines += [f"{node},{score:.12g},{r}" for node, score, r in rows]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -292,32 +296,38 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _score_columns(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    if not all(map(str.split, cells)):  # np.loadtxt would skip the line
+        raise ValueError("a line of separators only")
+    return (_loadtxt(cells, np.int64, usecols=(0,))[:, 0],
+            _loadtxt(cells, np.float64, usecols=(1,))[:, 0])
+
+
 def _read_score_file(path: str) -> tuple[np.ndarray, np.ndarray]:
-    nodes: list[int] = []
-    scores: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p for p in line.replace(",", " ").split() if p]
-            if len(parts) < 2:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected 'node score' columns")
-            try:
-                node = int(parts[0])
-                score = float(parts[1])
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValidationError(
-                    f"{path}:{lineno}: expected 'node score' columns, got "
-                    f"{line!r}") from None
-            nodes.append(node)
-            scores.append(score)
-    if not nodes:
+    """Node ids (int64) and scores (float64) of the first two columns of a
+    score file, such as the CSV that ``compute`` writes.
+
+    Columns are separated by commas or whitespace, ``#`` lines and blank
+    lines are skipped, later columns are ignored, and line 1 is skipped as
+    a header when its node or score does not parse. Tokens follow the
+    loaders' grammar (:mod:`walkrank.graph`).
+    """
+    lines = _read_lines(path, ("#",))
+    cells = list(map(str.replace, lines.text, repeat(","), repeat(" ")))
+    text, number = lines.text, lines.number
+    if (cells and number[0] == 1 and len(cells[0].split()) >= 2
+            and not _accepts(_score_columns, cells[:1])):
+        cells, text, number = cells[1:], text[1:], number[1:]  # header row
+    if not cells:
         raise ValidationError(f"{path}: no score rows found")
-    return np.asarray(nodes, dtype=np.int64), np.asarray(scores)
+    try:
+        return _score_columns(cells)
+    except ValueError:
+        at = _first_rejected(cells, _score_columns)
+    where = f"{path}:{number[at]}: expected 'node score' columns"
+    if len(cells[at].split()) < 2:
+        raise ValidationError(where)
+    raise ValidationError(f"{where}, got {text[at]!r}")
 
 
 def cmd_compare(args) -> int:

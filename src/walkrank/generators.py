@@ -32,24 +32,26 @@ def erdos_renyi(n: int, p: float, seed: int, *, directed: bool = False) -> Graph
     else:
         ii, jj = np.triu_indices(n, k=1)
     mask = rng.random(ii.shape[0]) < p
-    edges = list(zip(ii[mask].tolist(), jj[mask].tolist()))
-    return Graph.from_edges(n, edges, directed=directed)
+    return Graph._from_arrays(n, ii[mask], jj[mask], np.ones(mask.sum()),
+                              directed=directed)
 
 
 def ring(n: int, *, directed: bool = False) -> Graph:
     """Cycle 0-1-...-(n-1)-0."""
     if n < 3:
         raise ValidationError("ring requires n >= 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph.from_edges(n, edges, directed=directed)
+    src = np.arange(n)
+    return Graph._from_arrays(n, src, (src + 1) % n, np.ones(n),
+                              directed=directed)
 
 
 def star(n: int, *, directed: bool = False) -> Graph:
     """Hub node 0 joined to nodes 1..n-1 (hub -> leaf when directed)."""
     if n < 2:
         raise ValidationError("star requires n >= 2")
-    edges = [(0, i) for i in range(1, n)]
-    return Graph.from_edges(n, edges, directed=directed)
+    return Graph._from_arrays(n, np.zeros(n - 1, dtype=np.int64),
+                              np.arange(1, n), np.ones(n - 1),
+                              directed=directed)
 
 
 def connected_erdos_renyi(n: int, p: float, seed: int,
@@ -78,10 +80,10 @@ def strongly_connected_digraph(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     ii, jj = np.where(~np.eye(n, dtype=bool))
     mask = rng.random(ii.shape[0]) < p
-    pairs = set(zip(ii[mask].tolist(), jj[mask].tolist()))
     perm = rng.permutation(n)
-    for a, b in zip(perm, np.roll(perm, -1)):
-        pairs.add((int(a), int(b)))
-    g = Graph.from_edges(n, sorted(pairs), directed=True)
+    pairs = np.unique(np.concatenate([ii[mask] * n + jj[mask],
+                                      perm * n + np.roll(perm, -1)]))
+    g = Graph._from_arrays(n, pairs // n, pairs % n, np.ones(pairs.shape[0]),
+                           directed=True)
     assert is_strongly_connected(g)
     return g

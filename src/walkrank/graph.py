@@ -13,7 +13,9 @@ each edge once and expose a symmetrized adjacency.
 from __future__ import annotations
 
 import io
-from typing import Iterable, NamedTuple, TextIO
+from functools import partial
+from itertools import compress, repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -95,37 +97,48 @@ class Graph:
         Duplicate edges (including ``(v, u)`` duplicates of ``(u, v)`` in the
         undirected case) have their weights summed. Weights must be positive
         and finite; self-loops are rejected unless ``allow_loops`` is set.
+        Ids go through ``int()`` and weights through ``float()``, then the
+        arrays through :meth:`_from_arrays`.
+        """
+        us, vs, ws = [], [], []
+        for edge in edges:
+            u, v, w = edge if len(edge) == 3 else (*edge, 1.0)
+            us.append(int(u))
+            vs.append(int(v))
+            ws.append(float(w))
+        return cls._from_arrays(
+            n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64),
+            np.asarray(ws, dtype=np.float64), directed=directed,
+            node_labels=node_labels, allow_loops=allow_loops)
+
+    @classmethod
+    def _from_arrays(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                     weight: np.ndarray, *, directed: bool,
+                     node_labels=None, allow_loops: bool = False,
+                     report=None) -> "Graph":
+        """Build a graph from parallel edge arrays: the one place where
+        edges are checked, oriented and merged.
+
+        Every edge must have both ends in ``0..n-1``, no self-loop unless
+        ``allow_loops`` is set, and a positive finite weight. The first bad
+        edge in array order and its first failing check go to ``report(k,
+        check)`` (see :func:`_check_edges`), which returns the exception to
+        raise, so that a file loader can name the line; without ``report``
+        it is a :class:`ValidationError` naming the edge. Undirected edges
+        are stored as ``(min, max)``, duplicates sum their weights and edges
+        are sorted by ``(src, dst)``. ``node_labels`` defaults to
+        ``0..n-1``; it is built after the edge checks.
         """
         n = int(n)
         if n < 0:
             raise ValidationError("node count must be non-negative")
-        us, vs, ws = [], [], []
-        for edge in edges:
-            if len(edge) == 3:
-                u, v, w = edge
-            else:
-                u, v = edge
-                w = 1.0
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(
-                    f"edge ({u}, {v}) references a node outside 0..{n - 1}")
-            if u == v and not allow_loops:
-                raise ValidationError(
-                    f"self-loop at node {u} (pass allow_loops=True to accept)")
-            if not np.isfinite(w) or w <= 0.0:
-                raise ValidationError(
-                    f"edge ({u}, {v}) has non-positive weight {w!r}")
-            if not directed and u > v:
-                u, v = v, u
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-
-        src = np.asarray(us, dtype=np.int64)
-        dst = np.asarray(vs, dtype=np.int64)
-        weight = np.asarray(ws, dtype=np.float64)
-
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        weight = np.asarray(weight, dtype=np.float64)
+        _check_edges(n, src, dst, weight, allow_loops,
+                     report or partial(_edge_error, src, dst, weight, n))
+        if not directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
         # merge duplicates by summing weights, then sort lexicographically
         if src.shape[0]:
             key = src * n + dst
@@ -134,8 +147,10 @@ class Graph:
             weight = weight[order]
             uniq, start = np.unique(key, return_index=True)
             weight = np.add.reduceat(weight, start)
-            src = (uniq // n).astype(np.int64)
-            dst = (uniq % n).astype(np.int64)
+            src = uniq // n
+            dst = uniq % n
+        else:
+            src, dst, weight = src.copy(), dst.copy(), weight.copy()
 
         if node_labels is None:
             node_labels = np.arange(n, dtype=np.int64)
@@ -228,14 +243,166 @@ class Graph:
         return dense
 
 
+def _check_edges(n: int, src: np.ndarray, dst: np.ndarray,
+                 weight: np.ndarray, allow_loops: bool, report) -> None:
+    """Raise ``report(k, check)`` for the first edge ``k`` that has an end
+    outside ``0..n-1`` (``"range"``), is a self-loop while loops are not
+    allowed (``"loop"``) or has a weight that is not positive and finite
+    (``"weight"``); ``check`` is the first of these that fails."""
+    bad_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    bad_loop = (src == dst) & (not allow_loops)
+    bad_weight = ~(np.isfinite(weight) & (weight > 0.0))
+    bad = np.flatnonzero(bad_range | bad_loop | bad_weight)
+    if bad.size:
+        k = int(bad[0])
+        raise report(k, "range" if bad_range[k] else
+                     "loop" if bad_loop[k] else "weight")
+
+
+def _edge_error(src, dst, weight, n, k, check):
+    """The :class:`ValidationError` of :meth:`Graph.from_edges` for edge
+    ``k`` failing ``check``."""
+    u, v = int(src[k]), int(dst[k])
+    if check == "range":
+        return ValidationError(
+            f"edge ({u}, {v}) references a node outside 0..{n - 1}")
+    if check == "loop":
+        return ValidationError(
+            f"self-loop at node {u} (pass allow_loops=True to accept)")
+    return ValidationError(
+        f"edge ({u}, {v}) has non-positive weight {float(weight[k])!r}")
+
+
 # ---------------------------------------------------------------------------
 # loaders / serializers
 # ---------------------------------------------------------------------------
+#
+# Token grammar, shared by the edge-list, MatrixMarket and score-file
+# readers: a line is stripped and split on whitespace; blank lines and lines
+# whose first character is a comment marker are skipped. Node ids are
+# int64: an optional sign and ASCII digits. Weights and scores are float64:
+# ASCII decimal or exponent notation, ``inf`` and ``nan`` in any case, an
+# optional sign. Both are read by ``np.loadtxt``, so ``1_000``, non-ASCII
+# digits and ids outside int64 are malformed tokens.
 
 def _open_text(path_or_file, mode="r"):
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
         return path_or_file, False
     return open(path_or_file, mode, encoding="utf-8"), True
+
+
+class _Lines(NamedTuple):
+    """The data lines of a text file, stripped, with their 1-based line
+    numbers; ``count`` lines were read and ``first`` is line 1 as read."""
+    text: list[str]
+    number: np.ndarray
+    count: int
+    first: str
+
+
+def _read_lines(path_or_file, comments: tuple[str, ...]) -> _Lines:
+    """Read a file once and keep the lines that are neither blank nor start
+    with one of ``comments`` (after stripping).
+
+    The text is split at ``\\n``, the line break of a file opened in text
+    mode with the default newline handling and of an ``io.StringIO``. The
+    split lines carry no line break, so stripping returns most of them
+    unchanged instead of copying every line.
+    """
+    fh, should_close = _open_text(path_or_file)
+    try:
+        raw = fh.read().split("\n")
+    finally:
+        if should_close:
+            fh.close()
+    if raw[-1] == "":
+        raw.pop()  # the text ends with a line break, or is empty
+    stripped = list(map(str.strip, raw))
+    m = len(stripped)
+    keep = np.fromiter(map(bool, stripped), dtype=bool, count=m)
+    keep &= ~np.fromiter(map(str.startswith, stripped, repeat(comments)),
+                         dtype=bool, count=m)
+    return _Lines(list(compress(stripped, keep)), np.flatnonzero(keep) + 1,
+                  m, raw[0] if raw else "")
+
+
+def _loadtxt(lines: list[str], dtype, usecols=None) -> np.ndarray:
+    """Columns of non-empty ``lines`` as a 2-D array; ``ValueError`` on a
+    malformed token or a column count that changes."""
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2,
+                      usecols=usecols)
+
+
+def _parse_columns(lines: list[str], ncols: int):
+    """Ids (the first two columns, int64) and weights (the third column,
+    float64, or ones when ``ncols == 2``) of lines that all have ``ncols``
+    columns; ``ValueError`` otherwise."""
+    if not lines:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    if ncols == 2:
+        cols = ids = _loadtxt(lines, np.int64)
+    else:
+        cols = _loadtxt(lines, np.float64)
+        ids = _loadtxt(lines, np.int64, usecols=(0, 1))
+    if cols.shape[1] != ncols:
+        raise ValueError(f"expected {ncols} columns, got {cols.shape[1]}")
+    return ids, (cols[:, 2] if ncols == 3 else np.ones(len(lines)))
+
+
+def _accepts(parse, lines: list[str]) -> bool:
+    try:
+        parse(lines)
+    except ValueError:
+        return False
+    return True
+
+
+_CHUNK = 1024
+
+
+def _first_rejected(lines: list[str], parse) -> int:
+    """Index of the first line ``parse`` rejects, found chunk by chunk and
+    then line by line inside the first rejected chunk. Only a failed parse
+    of the whole file calls this, to name the line."""
+    for start in range(0, len(lines), _CHUNK):
+        chunk = lines[start:start + _CHUNK]
+        if not _accepts(parse, chunk):
+            return start + next(i for i, line in enumerate(chunk)
+                                if not _accepts(parse, [line]))
+    raise AssertionError("no line rejected")
+
+
+class _Malformed(NamedTuple):
+    """The first line that :func:`_parse_columns` rejects (index ``at``),
+    its tokens and its first malformed part: ``"columns"``, ``"ids"``,
+    ``"weight"`` or ``"line"`` (a line break inside the line).
+    ``ids``/``weights`` hold the lines before it and, when only the weight
+    is malformed, the line's own ids with weight 1.0, so that the checks a
+    line makes before reading its weight still apply to it."""
+    at: int
+    tokens: list[str]
+    fault: str
+    ids: np.ndarray
+    weights: np.ndarray
+
+
+def _malformed(lines: list[str], ncols: int) -> _Malformed:
+    at = _first_rejected(lines, partial(_parse_columns, ncols=ncols))
+    tokens = lines[at].split()
+    ids, weights = _parse_columns(lines[:at], ncols)
+    id_line = [" ".join(tokens[:2])]
+    if len(tokens) != ncols:
+        fault = "columns"
+    elif not _accepts(partial(_parse_columns, ncols=2), id_line):
+        fault = "ids"
+    elif ncols == 3 and not _accepts(partial(_loadtxt, dtype=np.float64),
+                                     tokens[2:]):
+        fault = "weight"
+        ids = np.concatenate([ids, _parse_columns(id_line, 2)[0]])
+        weights = np.append(weights, 1.0)
+    else:
+        fault = "line"
+    return _Malformed(at, tokens, fault, ids, weights)
 
 
 def load_edge_list(path_or_file, *, directed: bool = False,
@@ -244,83 +411,83 @@ def load_edge_list(path_or_file, *, directed: bool = False,
                    allow_loops: bool = False) -> Graph:
     """Parse a whitespace-separated edge list.
 
-    Each data line is ``u v`` or ``u v weight``; lines starting with ``#`` or
-    ``%`` and blank lines are skipped. ``weighted=None`` infers the column
-    count from the first data line and then enforces it. Node ids are shifted
-    down by ``index_base``; the resulting graph has ``n = 1 + max(id)`` nodes
-    and keeps the original ids as ``node_labels``. ``index_base=None`` reads
-    the ids 0-based if some id is 0 and 1-based otherwise, so the output of
-    :func:`dump_edge_list` loads back unchanged; ids below the base (under
-    ``None``: negative ids) are rejected.
+    Each data line is ``u v`` or ``u v weight``, with int64 ids and a
+    float64 weight (see the token grammar above); lines starting with ``#``
+    or ``%`` and blank lines are skipped. ``weighted=None`` infers the
+    column count from the first data line and then enforces it. Node ids
+    are shifted down by ``index_base``; the resulting graph has ``n = 1 +
+    max(id)`` nodes and keeps the original ids as ``node_labels``.
+    ``index_base=None`` reads the ids 0-based if some id is 0 and 1-based
+    otherwise, so the output of :func:`dump_edge_list` loads back
+    unchanged; ids below the base (under ``None``: negative ids) are
+    rejected.
 
     Duplicate edges sum their weights. Malformed lines raise
-    :class:`GraphParseError` carrying the 1-based line number.
+    :class:`GraphParseError` carrying the 1-based line number of the first
+    one; on that line the checks run in the order column count, ids, ids
+    below the base, self-loop, weight token, weight value.
     """
-    fh, should_close = _open_text(path_or_file)
+    lines = _read_lines(path_or_file, ("#", "%"))
+    inferred = weighted is None
+    if not inferred:
+        ncols = 3 if weighted else 2
+    elif lines.text:
+        ncols = len(lines.text[0].split())
+        if ncols not in (2, 3):
+            raise GraphParseError(f"expected 2 or 3 columns, got {ncols}",
+                                  int(lines.number[0]))
+    else:
+        ncols = 2
     try:
-        edges = []
-        ncols = 3 if weighted is True else (2 if weighted is False else None)
-        inferred = weighted is None
-        lowest = 0 if index_base is None else index_base
-        max_id = -1
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("%"):
-                continue
-            parts = line.split()
-            if ncols is None:
-                if len(parts) not in (2, 3):
-                    raise GraphParseError(
-                        f"expected 2 or 3 columns, got {len(parts)}", lineno)
-                ncols = len(parts)
-            elif len(parts) != ncols:
-                what = ("inferred from the first data line" if inferred
-                        else "requested")
-                raise GraphParseError(
-                    f"expected {ncols} columns ({what}), got {len(parts)}",
-                    lineno)
-            try:
-                u = int(parts[0])
-                v = int(parts[1])
-            except ValueError:
-                raise GraphParseError(
-                    f"node ids must be integers, got {parts[0]!r} {parts[1]!r}",
-                    lineno) from None
-            if u < lowest or v < lowest:
-                raise GraphParseError(
-                    f"node id below index base {lowest}", lineno)
-            if u == v and not allow_loops:
-                raise GraphParseError(
-                    f"self-loop at node {parts[0]} "
-                    "(pass allow_loops=True to accept)", lineno)
-            if ncols == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise GraphParseError(
-                        f"weight must be a number, got {parts[2]!r}",
-                        lineno) from None
-                if not np.isfinite(w) or w <= 0.0:
-                    raise GraphParseError(
-                        f"weight must be positive and finite, got {parts[2]}",
-                        lineno)
-            else:
-                w = 1.0
-            edges.append((u, v, w))
-            max_id = max(max_id, u, v)
-        if index_base is None:
-            has_zero = any(u == 0 or v == 0 for u, v, _ in edges)
-            index_base = 0 if has_zero else 1
-        if index_base:
-            edges = [(u - index_base, v - index_base, w)
-                     for u, v, w in edges]
-        n = max_id - index_base + 1 if edges else 0
-        labels = np.arange(n, dtype=np.int64) + index_base
-        return Graph.from_edges(n, edges, directed=directed,
-                                node_labels=labels, allow_loops=allow_loops)
-    finally:
-        if should_close:
-            fh.close()
+        ids, weights = _parse_columns(lines.text, ncols)
+        bad = None
+    except ValueError:
+        bad = _malformed(lines.text, ncols)
+        ids, weights = bad.ids, bad.weights
+    lowest = 0 if index_base is None else index_base
+    base = index_base
+    if base is None:
+        base = 0 if (ids == 0).any() else 1
+    n = max(int(ids.max()) - base + 1, 0) if ids.size else 0
+
+    def report(k, check):
+        parts = lines.text[k].split()
+        if check == "range":
+            message = f"node id below index base {lowest}"
+        elif check == "loop":
+            message = (f"self-loop at node {parts[0]} "
+                       "(pass allow_loops=True to accept)")
+        else:
+            message = f"weight must be positive and finite, got {parts[2]}"
+        return GraphParseError(message, int(lines.number[k]))
+
+    if bad is not None:
+        _check_edges(n, ids[:, 0] - base, ids[:, 1] - base, weights,
+                     allow_loops, report)
+        parts, lineno = bad.tokens, int(lines.number[bad.at])
+        if bad.fault == "columns":
+            what = ("inferred from the first data line" if inferred
+                    else "requested")
+            raise GraphParseError(
+                f"expected {ncols} columns ({what}), got {len(parts)}",
+                lineno)
+        if bad.fault == "ids":
+            raise GraphParseError(
+                f"node ids must be integers, got {parts[0]!r} {parts[1]!r}",
+                lineno)
+        if bad.fault == "weight":
+            raise GraphParseError(
+                f"weight must be a number, got {parts[2]!r}", lineno)
+        raise GraphParseError("line break inside the line", lineno)
+    g = Graph._from_arrays(n, ids[:, 0] - base, ids[:, 1] - base, weights,
+                           directed=directed, allow_loops=allow_loops,
+                           report=report)
+    # labels after the checks: a malformed file with a huge id reports its
+    # line instead of allocating 0..max(id) first
+    if base:
+        g = Graph(g.n, g.src, g.dst, g.weight, g.directed,
+                  g.node_labels + base)
+    return g
 
 
 def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
@@ -328,107 +495,94 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
 
     Supported variants: ``coordinate`` × {``pattern``, ``real``, ``integer``}
     × {``general``, ``symmetric``}. ``symmetric`` yields an undirected graph,
-    ``general`` a directed one. Explicitly stored zero entries are dropped;
+    ``general`` a directed one. Indices are int64 and values float64 (see
+    the token grammar above). Explicitly stored zero entries are dropped;
     negative weights are rejected; ``array`` and ``complex`` files raise
     :class:`FormatError`. Node labels are the file's 1-based indices.
+
+    The first malformed entry line raises, its checks in the order field
+    count, indices, declared shape, value token, value sign; then the entry
+    count is checked against the size line, then self-loops.
     """
-    fh, should_close = _open_text(path_or_file)
+    lines = _read_lines(path_or_file, ("%",))
+    header = lines.first
+    if not header.startswith("%%MatrixMarket"):
+        raise FormatError("missing %%MatrixMarket header")
+    tokens = header.split()
+    if len(tokens) < 5:
+        raise FormatError(f"malformed header: {header.strip()!r}")
+    _, obj, fmt, field, symmetry = (t.lower() for t in tokens[:5])
+    if obj != "matrix":
+        raise FormatError(f"unsupported object {obj!r}")
+    if fmt != "coordinate":
+        raise FormatError(
+            f"unsupported format {fmt!r} (only 'coordinate' is supported)")
+    if field not in ("pattern", "real", "integer"):
+        raise FormatError(
+            f"unsupported field {field!r} "
+            "(only 'pattern', 'real', 'integer' are supported)")
+    if symmetry not in ("general", "symmetric"):
+        raise FormatError(
+            f"unsupported symmetry {symmetry!r} "
+            "(only 'general' and 'symmetric' are supported)")
+
+    if not lines.text:
+        raise GraphParseError("missing size line", lines.count + 1)
+    size_line, lineno = lines.text[0], int(lines.number[0])
+    parts = size_line.split()
+    if len(parts) != 3:
+        raise GraphParseError(
+            f"size line must have 3 fields, got {len(parts)}", lineno)
     try:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise FormatError("missing %%MatrixMarket header")
-        tokens = header.split()
-        if len(tokens) < 5:
-            raise FormatError(f"malformed header: {header.strip()!r}")
-        _, obj, fmt, field, symmetry = (t.lower() for t in tokens[:5])
-        if obj != "matrix":
-            raise FormatError(f"unsupported object {obj!r}")
-        if fmt != "coordinate":
-            raise FormatError(
-                f"unsupported format {fmt!r} (only 'coordinate' is supported)")
-        if field not in ("pattern", "real", "integer"):
-            raise FormatError(
-                f"unsupported field {field!r} "
-                "(only 'pattern', 'real', 'integer' are supported)")
-        if symmetry not in ("general", "symmetric"):
-            raise FormatError(
-                f"unsupported symmetry {symmetry!r} "
-                "(only 'general' and 'symmetric' are supported)")
+        nrows, ncols, nnz = (int(p) for p in parts)
+    except ValueError:
+        raise GraphParseError(
+            f"size line must be integers: {size_line!r}", lineno) from None
+    if nrows != ncols:
+        raise ValidationError(
+            f"adjacency matrix must be square, got {nrows}x{ncols}")
 
-        lineno = 1
-        size_line = None
-        while True:
-            raw = fh.readline()
-            lineno += 1
-            if not raw:
-                raise GraphParseError("missing size line", lineno)
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            size_line = line
-            break
-        parts = size_line.split()
-        if len(parts) != 3:
+    body, numbers = lines.text[1:], lines.number[1:]
+    want = 2 if field == "pattern" else 3
+    try:
+        ids, values = _parse_columns(body, want)
+        bad = None
+    except ValueError:
+        bad = _malformed(body, want)
+        ids, values = bad.ids, bad.weights
+    outside = ((ids < 1) | (ids > nrows)).any(axis=1)
+    negative = ~(np.isfinite(values) & (values >= 0.0))
+    wrong = np.flatnonzero(outside | negative)
+    if wrong.size:
+        k = int(wrong[0])
+        if outside[k]:
+            i, j = ids[k].tolist()
             raise GraphParseError(
-                f"size line must have 3 fields, got {len(parts)}", lineno)
-        try:
-            nrows, ncols, nnz = (int(p) for p in parts)
-        except ValueError:
+                f"entry ({i}, {j}) outside declared {nrows}x{ncols} shape",
+                int(numbers[k]))
+        raise ValidationError(f"line {int(numbers[k])}: negative or "
+                              f"non-finite weight {float(values[k])}")
+    if bad is not None:
+        lineno = int(numbers[bad.at])
+        if bad.fault == "columns":
             raise GraphParseError(
-                f"size line must be integers: {size_line!r}", lineno) from None
-        if nrows != ncols:
-            raise ValidationError(
-                f"adjacency matrix must be square, got {nrows}x{ncols}")
-
-        pattern = field == "pattern"
-        want = 2 if pattern else 3
-        edges = []
-        seen = 0
-        for raw in fh:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            parts = line.split()
-            if len(parts) != want:
-                raise GraphParseError(
-                    f"expected {want} fields, got {len(parts)}", lineno)
-            try:
-                i = int(parts[0])
-                j = int(parts[1])
-            except ValueError:
-                raise GraphParseError(
-                    f"indices must be integers: {line!r}", lineno) from None
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise GraphParseError(
-                    f"entry ({i}, {j}) outside declared {nrows}x{ncols} shape",
-                    lineno)
-            if pattern:
-                w = 1.0
-            else:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise GraphParseError(
-                        f"value must be a number, got {parts[2]!r}",
-                        lineno) from None
-                if w < 0.0 or not np.isfinite(w):
-                    raise ValidationError(
-                        f"line {lineno}: negative or non-finite weight {w}")
-            seen += 1
-            if w == 0.0:
-                continue  # explicitly stored zero: not an edge
-            edges.append((i - 1, j - 1, w))
-        if seen != nnz:
+                f"expected {want} fields, got {len(bad.tokens)}", lineno)
+        if bad.fault == "ids":
             raise GraphParseError(
-                f"declared {nnz} entries but found {seen}", lineno)
-        labels = np.arange(nrows, dtype=np.int64) + 1
-        return Graph.from_edges(nrows, edges,
-                                directed=(symmetry == "general"),
-                                node_labels=labels, allow_loops=allow_loops)
-    finally:
-        if should_close:
-            fh.close()
+                f"indices must be integers: {body[bad.at]!r}", lineno)
+        if bad.fault == "weight":
+            raise GraphParseError(
+                f"value must be a number, got {bad.tokens[2]!r}", lineno)
+        raise GraphParseError("line break inside the line", lineno)
+    if len(body) != nnz:
+        raise GraphParseError(
+            f"declared {nnz} entries but found {len(body)}", lines.count)
+    stored = values != 0.0  # explicitly stored zeros are not edges
+    return Graph._from_arrays(nrows, ids[stored, 0] - 1, ids[stored, 1] - 1,
+                              values[stored],
+                              directed=(symmetry == "general"),
+                              node_labels=np.arange(nrows, dtype=np.int64) + 1,
+                              allow_loops=allow_loops)
 
 
 def dump_edge_list(g: Graph, path_or_file) -> None:
@@ -543,12 +697,11 @@ def largest_scc(g: Graph) -> tuple[Graph, np.ndarray]:
     new_id[mapping] = np.arange(len(mapping), dtype=np.int64)
 
     keep = in_comp[g.src] & in_comp[g.dst]
-    edges = zip(new_id[g.src[keep]], new_id[g.dst[keep]], g.weight[keep])
-    sub = Graph.from_edges(len(mapping),
-                           [(int(u), int(v), float(w)) for u, v, w in edges],
-                           directed=g.directed,
-                           node_labels=g.node_labels[mapping],
-                           allow_loops=True)
+    sub = Graph._from_arrays(len(mapping), new_id[g.src[keep]],
+                             new_id[g.dst[keep]], g.weight[keep],
+                             directed=g.directed,
+                             node_labels=g.node_labels[mapping],
+                             allow_loops=True)
     return sub, mapping.copy()
 
 

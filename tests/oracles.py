@@ -132,3 +132,62 @@ def dense_pagerank(g, alpha, v=None):
     n = s.shape[0]
     p = np.linalg.solve(np.eye(n) - alpha * s, (1.0 - alpha) * v)
     return p / p.sum()
+
+
+def _data_rows(text, comments):
+    """Tokens of each line that is neither blank nor starts with a comment
+    marker once stripped; every line break is ``\\n``, optionally preceded
+    by ``\\r``."""
+    lines = (line.strip() for line in text.split("\n"))
+    return [line.split() for line in lines
+            if line and not line.startswith(comments)]
+
+
+def _canonical_graph(n, entries, directed):
+    """(n, src, dst, weight) with each undirected pair as (min, max),
+    duplicate pairs summed in file order, and pairs sorted."""
+    merged = {}
+    for u, v, w in entries:
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0.0) + w
+    pairs = sorted(merged)
+    return (n, [u for u, _ in pairs], [v for _, v in pairs],
+            [merged[p] for p in pairs])
+
+
+def oracle_edge_list(text, directed=False, index_base=None):
+    """A valid edge list read straight from its definition: ``u v [w]``
+    rows, ``#`` and ``%`` comments; ids shifted down by the index base,
+    which by default is 0 when some id is 0 and 1 otherwise; ``n`` is one
+    more than the largest shifted id. Returns ``(n, src, dst, weight,
+    labels)`` as lists."""
+    rows = _data_rows(text, ("#", "%"))
+    ids = [int(t) for tokens in rows for t in tokens[:2]]
+    if index_base is None:
+        index_base = 0 if 0 in ids else 1
+    n = max(ids) - index_base + 1 if ids else 0
+    entries = [(int(t[0]) - index_base, int(t[1]) - index_base,
+                float(t[2]) if len(t) == 3 else 1.0) for t in rows]
+    n, src, dst, weight = _canonical_graph(n, entries, directed)
+    return n, src, dst, weight, [i + index_base for i in range(n)]
+
+
+def oracle_matrix_market(text):
+    """A valid coordinate MatrixMarket file read straight from its
+    definition: a ``%%MatrixMarket matrix coordinate <field> <symmetry>``
+    header, ``%`` comments, a ``rows cols entries`` size line, then 1-based
+    ``i j [value]`` entries; stored zeros are not edges, ``general`` is
+    directed and ``symmetric`` undirected. Returns ``(n, src, dst, weight,
+    labels, directed)`` as lists."""
+    header = text.split("\n", 1)[0].split()
+    field, symmetry = header[3].lower(), header[4].lower()
+    rows = _data_rows(text, ("%",))
+    n = int(rows[0][0])
+    entries = []
+    for t in rows[1:]:
+        w = 1.0 if field == "pattern" else float(t[2])
+        if w != 0.0:
+            entries.append((int(t[0]) - 1, int(t[1]) - 1, w))
+    directed = symmetry == "general"
+    n, src, dst, weight = _canonical_graph(n, entries, directed)
+    return n, src, dst, weight, [i + 1 for i in range(n)], directed

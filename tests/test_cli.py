@@ -417,6 +417,44 @@ def test_compare_rejects_empty_file(capsys, tmp_path):
     assert "no score rows" in err
 
 
+# score-file text -> (exit code, stderr after "<path>"); None: compare runs
+SCORE_FILES = {
+    "header-and-separators": ("node,score,rank\n# c\n\n1, 0.5,2\n2\t1.5 1\n",
+                              None),
+    "one-column": ("node,score\n1,0.5\n2\n",
+                   ":3: expected 'node score' columns"),
+    "separators-only": ("1,0.5\n , \n2,1\n",
+                        ":2: expected 'node score' columns"),
+    "one-column-on-line-1": ("node\n1,0.5\n",
+                             ":1: expected 'node score' columns"),
+    "header-below-line-1": ("# c\nnode,score\n1,0.5\n",
+                            ":2: expected 'node score' columns, got "
+                            "'node,score'"),
+    "bad-score": ("1,0.5\n2,high\n",
+                  ":2: expected 'node score' columns, got '2,high'"),
+    "bad-node-last-line": ("".join(f"{k},{k}.5\n" for k in range(3000))
+                           + "1.5,2",
+                           ":3001: expected 'node score' columns, got "
+                           "'1.5,2'"),
+    "node-beyond-int64": ("1,0.5\n9223372036854775808,1\n",
+                          ":2: expected 'node score' columns, got "
+                          "'9223372036854775808,1'"),
+    "no-rows": ("node,score\n# c\n", ": no score rows found"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORE_FILES))
+def test_compare_score_file_rules(capsys, tmp_path, case):
+    text, message = SCORE_FILES[case]
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "compare", str(path), str(path))
+    if message is None:
+        assert (code, out, err) == (0, "0\n", "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {path}{message}\n")
+
+
 # ---------------------------------------------------------------------------
 # pagerank demo
 # ---------------------------------------------------------------------------

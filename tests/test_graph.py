@@ -23,7 +23,7 @@ from walkrank import (
 from walkrank.datasets import karate, six_node_digraph
 from walkrank.generators import erdos_renyi
 
-from oracles import brute_triangles
+from oracles import brute_triangles, oracle_edge_list, oracle_matrix_market
 
 
 def parse(text, **kw):
@@ -57,6 +57,40 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 1, float("nan"))])
     with pytest.raises(ValidationError):
         Graph.from_edges(2, [(0, 1)], node_labels=[7])
+
+
+def test_from_edges_equals_array_constructor_and_canonical_form():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(0, 8))
+        m = int(rng.integers(0, 12))
+        directed = bool(rng.integers(0, 2))
+        allow_loops = bool(rng.integers(0, 2))
+        src = rng.integers(-1, n + 1, m) if rng.random() < 0.2 else \
+            rng.integers(0, max(n, 1), m)
+        dst = rng.integers(0, max(n, 1), m)
+        weight = rng.choice([0.25, 0.5, 1.0, 2.0, 3.5, 0.0, -1.0, np.nan],
+                            m, p=[.2, .2, .2, .2, .1, .04, .03, .03])
+        tuples = [(np.int64(u), int(v)) if w == 1.0 else (int(u), v, w)
+                  for u, v, w in zip(src, dst, weight)]
+        kw = dict(directed=directed, allow_loops=allow_loops)
+        try:
+            g = Graph.from_edges(n, tuples, **kw)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as again:
+                Graph._from_arrays(n, src, dst, weight, **kw)
+            assert str(again.value) == str(exc)
+            continue
+        h = Graph._from_arrays(n, src, dst, weight, **kw)
+        for a, b in ((g.src, h.src), (g.dst, h.dst), (g.weight, h.weight),
+                     (g.node_labels, h.node_labels)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        merged = {}
+        for u, v, w in zip(src.tolist(), dst.tolist(), weight.tolist()):
+            key = (u, v) if directed else (min(u, v), max(u, v))
+            merged[key] = merged.get(key, 0.0) + w
+        assert g.edge_tuples() == [(u, v, merged[(u, v)])
+                                   for u, v in sorted(merged)]
 
 
 def test_from_edges_loops_only_when_allowed():
@@ -261,6 +295,217 @@ def test_mtx_reports_out_of_range_entries():
     text = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 3\n"
     with pytest.raises(GraphParseError):
         load_matrix_market(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# file grammar: random valid files against the oracles, malformed corpus
+# ---------------------------------------------------------------------------
+
+def _dress(rng, rows, comment):
+    """Data rows with comment lines, blank lines, padding and a random line
+    ending mixed in, with or without a final line break."""
+    lines = []
+    for row in rows:
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(f"{comment} a comment")
+        elif roll < 0.15:
+            lines.append(" \t")
+        elif roll < 0.2:
+            lines.append("")
+        pad = " " * int(rng.integers(0, 3))
+        lines.append(pad + rng.choice([" ", "\t", "  "]).join(row) + pad)
+    eol = rng.choice(["\n", "\r\n"])
+    return eol.join(lines) + (eol if rng.random() < 0.7 else "")
+
+
+def _assert_graph(g, n, src, dst, weight, labels):
+    assert g.n == n
+    for arr, dtype, want in ((g.src, np.int64, src), (g.dst, np.int64, dst),
+                             (g.weight, np.float64, weight),
+                             (g.node_labels, np.int64, labels)):
+        assert arr.dtype == dtype
+        assert arr.tolist() == want
+
+
+def _load(loader, text, tmp_path, as_file, **kw):
+    if not as_file:
+        return loader(io.StringIO(text), **kw)
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return loader(path, **kw)
+
+
+WEIGHTS = ("0.25", "0.5", "1", "2.0", "3.5", "1e0")
+
+
+def test_random_edge_lists_match_oracle(tmp_path):
+    rng = np.random.default_rng(20240)
+    for case in range(200):
+        base = int(rng.integers(0, 2))
+        n = int(rng.integers(1, 10))
+        m = int(rng.integers(1, 25))
+        weighted = bool(rng.integers(0, 2))
+        directed = bool(rng.integers(0, 2))
+        allow_loops = bool(rng.integers(0, 2))
+        u = rng.integers(0, n, m)
+        v = rng.integers(0, n, m)
+        if not allow_loops:
+            v = np.where(u == v, (v + 1) % n, v)
+            if n == 1:
+                n, v = 2, np.ones(m, dtype=np.int64)
+        rows = [[str(a + base), str(b + base)]
+                + ([str(rng.choice(WEIGHTS))] if weighted else [])
+                for a, b in zip(u.tolist(), v.tolist())]
+        text = _dress(rng, rows, rng.choice(["#", "%"]))
+        index_base = rng.choice([None, base])
+        g = _load(load_edge_list, text, tmp_path, case % 10 == 0,
+                  directed=directed, index_base=index_base,
+                  allow_loops=allow_loops)
+        _assert_graph(g, *oracle_edge_list(text, directed, index_base))
+        assert g.directed == directed
+
+
+def test_random_matrix_market_files_match_oracle(tmp_path):
+    rng = np.random.default_rng(20241)
+    for case in range(200):
+        field = rng.choice(["pattern", "real", "integer"])
+        symmetry = rng.choice(["general", "symmetric"])
+        n = int(rng.integers(2, 10))
+        m = int(rng.integers(0, 25))
+        i = rng.integers(1, n + 1, m)
+        j = rng.integers(1, n + 1, m)
+        j = np.where(i == j, j % n + 1, j)
+        values = {"pattern": [], "real": list(WEIGHTS) + ["0", "0.0"],
+                  "integer": ["1", "2", "3", "0"]}[field]
+        rows = [[str(a), str(b)] + ([str(rng.choice(values))] if values
+                                    else [])
+                for a, b in zip(i.tolist(), j.tolist())]
+        body = _dress(rng, [[str(n), str(n), str(m)]] + rows, "%")
+        head = f"%%MatrixMarket matrix coordinate {field} {symmetry}\n"
+        if rng.random() < 0.5:
+            head += "% generated\n\n"
+        text = head + body
+        g = _load(load_matrix_market, text, tmp_path, case % 10 == 0)
+        *arrays, directed = oracle_matrix_market(text)
+        _assert_graph(g, *arrays)
+        assert g.directed == directed
+
+
+# (loader, text, keyword arguments, error class, exact message)
+MM = "%%MatrixMarket matrix coordinate real general\n"
+MM_PATTERN = "%%MatrixMarket matrix coordinate pattern general\n"
+MALFORMED = {
+    "el-columns-first": (load_edge_list, "# c\n1\n1 2\n", {},
+                         GraphParseError,
+                         "line 2: expected 2 or 3 columns, got 1"),
+    "el-columns-inferred": (
+        load_edge_list, "1 2 0.5\n2 3\n", {}, GraphParseError,
+        "line 2: expected 3 columns (inferred from the first data line), "
+        "got 2"),
+    "el-columns-requested": (
+        load_edge_list, "1 2\n", {"weighted": True}, GraphParseError,
+        "line 1: expected 3 columns (requested), got 2"),
+    "el-ids": (load_edge_list, "1 2\n1 b\n", {}, GraphParseError,
+               "line 2: node ids must be integers, got '1' 'b'"),
+    "el-below-base": (load_edge_list, "1 2\n0 2\n", {"index_base": 1},
+                      GraphParseError, "line 2: node id below index base 1"),
+    "el-self-loop": (load_edge_list, "1 2\n% c\n03 3\n", {}, GraphParseError,
+                     "line 3: self-loop at node 03 "
+                     "(pass allow_loops=True to accept)"),
+    "el-weight-token": (load_edge_list, "1 2 1\n2 3 x\n", {},
+                        GraphParseError,
+                        "line 2: weight must be a number, got 'x'"),
+    "el-weight-value": (load_edge_list, "1 2 1\n2 3 -inf\n", {},
+                        GraphParseError,
+                        "line 2: weight must be positive and finite, "
+                        "got -inf"),
+    "el-value-before-columns": (
+        load_edge_list, "1 2 -1\n1 2\n", {}, GraphParseError,
+        "line 1: weight must be positive and finite, got -1"),
+    "el-loop-before-weight-token": (
+        load_edge_list, "1 2 1\n2 2 x\n", {}, GraphParseError,
+        "line 2: self-loop at node 2 (pass allow_loops=True to accept)"),
+    "el-last-line": (
+        load_edge_list, "".join(f"{k} {k + 1}\n" for k in range(1, 3000))
+        + "3000 3000 1", {}, GraphParseError,
+        "line 3000: expected 2 columns (inferred from the first data line), "
+        "got 3"),
+    "el-deep-value": (
+        load_edge_list, "".join(f"{k} {k + 1}\n" for k in range(1, 2500))
+        + "7 7\n" + "1 2 3\n", {}, GraphParseError,
+        "line 2500: self-loop at node 7 (pass allow_loops=True to accept)"),
+    "mm-missing-size": (load_matrix_market, MM + "% c\n\n", {},
+                        GraphParseError, "line 4: missing size line"),
+    "mm-size-fields": (load_matrix_market, MM + "2 2\n", {}, GraphParseError,
+                       "line 2: size line must have 3 fields, got 2"),
+    "mm-size-integers": (load_matrix_market, MM + "2 x 1\n", {},
+                         GraphParseError,
+                         "line 2: size line must be integers: '2 x 1'"),
+    "mm-square": (load_matrix_market, MM + "2 3 0\n", {}, ValidationError,
+                  "adjacency matrix must be square, got 2x3"),
+    "mm-fields": (load_matrix_market, MM + "2 2 2\n1 2 1\n2 1\n", {},
+                  GraphParseError, "line 4: expected 3 fields, got 2"),
+    "mm-indices": (load_matrix_market, MM + "2 2 1\n1 a 1\n", {},
+                   GraphParseError,
+                   "line 3: indices must be integers: '1 a 1'"),
+    "mm-shape": (load_matrix_market, MM_PATTERN + "2 2 2\n1 2\n\n3 1\n", {},
+                 GraphParseError,
+                 "line 5: entry (3, 1) outside declared 2x2 shape"),
+    "mm-value-token": (load_matrix_market, MM + "2 2 1\n1 2 abc\n", {},
+                       GraphParseError,
+                       "line 3: value must be a number, got 'abc'"),
+    "mm-value-sign": (load_matrix_market, MM + "2 2 2\n1 2 0\n2 1 -2\n", {},
+                      ValidationError,
+                      "line 4: negative or non-finite weight -2.0"),
+    "mm-entry-count": (load_matrix_market, MM + "2 2 3\n1 2 1\n2 1 1\n\n",
+                       {}, GraphParseError,
+                       "line 5: declared 3 entries but found 2"),
+    "mm-self-loop": (load_matrix_market, MM + "2 2 2\n2 2 1\n1 2 1\n", {},
+                     ValidationError,
+                     "self-loop at node 1 (pass allow_loops=True to accept)"),
+    "mm-shape-before-fields": (
+        load_matrix_market, MM + "2 2 2\n5 1 1\n1 2\n", {}, GraphParseError,
+        "line 3: entry (5, 1) outside declared 2x2 shape"),
+    "mm-shape-before-value-token": (
+        load_matrix_market, MM + "2 2 1\n1 9 x\n", {}, GraphParseError,
+        "line 3: entry (1, 9) outside declared 2x2 shape"),
+    "mm-sign-before-count": (
+        load_matrix_market, MM + "2 2 5\n1 2 nan\n", {}, ValidationError,
+        "line 3: negative or non-finite weight nan"),
+    "mm-last-line": (
+        load_matrix_market, MM_PATTERN + "3000 3000 3000\n"
+        + "".join(f"{k} {k + 1}\n" for k in range(1, 3000)) + "1 1.5", {},
+        GraphParseError, "line 3002: indices must be integers: '1 1.5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_names_first_bad_line_and_check(case):
+    loader, text, kw, error, message = MALFORMED[case]
+    with pytest.raises(error) as info:
+        loader(io.StringIO(text), **kw)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("token", ["1_000", "\u0661", "9223372036854775808"])
+def test_ids_outside_the_int64_grammar_are_parse_errors(token):
+    # int() accepts all three; np.loadtxt, the one token grammar, does not
+    with pytest.raises(GraphParseError) as info:
+        parse(f"1 2\n2 {token}\n")
+    assert str(info.value) == (
+        f"line 2: node ids must be integers, got '2' {token!r}")
+    with pytest.raises(GraphParseError) as info:
+        load_matrix_market(io.StringIO(
+            MM_PATTERN + f"3 3 2\n1 2\n{token} 1\n"))
+    assert str(info.value) == f"line 4: indices must be integers: '{token} 1'"
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661"])
+def test_weights_outside_the_float64_grammar_are_parse_errors(token):
+    with pytest.raises(GraphParseError) as info:
+        parse(f"1 2 1\n2 3 {token}\n")
+    assert str(info.value) == f"line 2: weight must be a number, got {token!r}"
 
 
 # ---------------------------------------------------------------------------
