@@ -3,7 +3,8 @@
 Everything hot in this package funnels through three vectorized numpy
 primitives:
 
-* ``csr_matvec``   -- ``y = A @ x``
+* ``csr_matvec``   -- ``y = A @ x``, given the row of each stored entry
+  (``Graph.matvec`` passes the one its graph caches)
 * ``neumann``      -- the full fixed-point loop ``x <- v + alpha * A @ x``
 * ``triangle_diag``-- ``diag(A^3)`` via sorted-row merge intersection
 
@@ -30,12 +31,11 @@ def _row_index(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
 
 
-def csr_matvec(indptr, indices, data, x):
-    """``A @ x``."""
+def csr_matvec(indptr, indices, data, x, rows):
+    """``A @ x``; ``rows[p]`` is the row of stored entry ``p``."""
     n = indptr.shape[0] - 1
     if data.shape[0] == 0:
         return np.zeros(n)
-    rows = _row_index(indptr)
     return np.bincount(rows, weights=data * x[indices], minlength=n)
 
 
@@ -96,6 +96,6 @@ def warmup() -> None:
     indices = np.array([1, 2, 0, 2, 0, 1], dtype=np.int64)
     data = np.ones(6)
     v = np.ones(3)
-    csr_matvec(indptr, indices, data, v)
+    csr_matvec(indptr, indices, data, v, _row_index(indptr))
     neumann(indptr, indices, data, v, 0.1, 1e-10, 1000)
     triangle_diag(indptr, indices, data)

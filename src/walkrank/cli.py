@@ -356,8 +356,7 @@ def cmd_demo_pagerank(args) -> int:
     print()
     print("H (column j spreads node j's mass over its out-neighbors):")
     h_dense = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), np.diff(model.h_indptr))
-    h_dense[rows, model.h_indices] = model.h_data
+    h_dense[model.h_rows, model.h_indices] = model.h_data
     for i in range(n):
         cells = []
         for j in range(n):
@@ -411,6 +410,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
+            raise ValidationError(
+                f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except (ConvergenceError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

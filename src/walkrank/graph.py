@@ -62,12 +62,14 @@ class Graph:
     canonicalizes edge order.
 
     Data derived from the graph is computed once and kept in :meth:`memo`
-    for the graph's lifetime: the CSR adjacency and its transpose, the
+    for the graph's lifetime: the CSR adjacency and its transpose, each
+    with the row of every stored entry (8 bytes per entry per side), the
     connectivity booleans, the dominant eigenpair per ``(side, tol,
     max_iter)`` and, for undirected graphs, the dense eigendecomposition
     behind :func:`walkrank.series.fa_diagonal`. The CSR arrays, the
     eigendecomposition and the dominant vectors are returned read-only,
-    since every caller (PageRank models included) shares them.
+    since every caller (PageRank models included) shares them. Products
+    with ``A`` and ``A.T`` go through :meth:`matvec` and :meth:`matvec_t`.
     """
 
     __slots__ = ("n", "directed", "src", "dst", "weight", "node_labels",
@@ -207,38 +209,40 @@ class Graph:
         rows = rows[order]
         indices = cols[order].astype(np.int64)
         data = vals[order].astype(np.float64)
-        counts = np.bincount(rows, minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        for arr in (indptr, indices, data):
+        indptr = np.searchsorted(rows, np.arange(self.n + 1))
+        for arr in (indptr, indices, data, rows):
             arr.setflags(write=False)
-        return indptr, indices, data
+        return indptr, indices, data, rows
+
+    def _csr(self, transpose: bool = False):
+        """Cached ``(indptr, indices, data, rows)`` of ``A`` or ``A.T``;
+        ``rows[p]`` is the row of stored entry ``p``."""
+        if transpose and self.directed:
+            return self.memo("csr_t", lambda: self._build_csr(transpose=True))
+        return self.memo("csr", lambda: self._build_csr(transpose=False))
 
     def adjacency(self):
         """CSR triple ``(indptr, indices, data)`` of the adjacency matrix."""
-        return self.memo("csr", lambda: self._build_csr(transpose=False))
+        return self._csr()[:3]
 
     def adjacency_t(self):
         """CSR triple of the transposed adjacency matrix."""
-        if not self.directed:
-            return self.adjacency()
-        return self.memo("csr_t", lambda: self._build_csr(transpose=True))
+        return self._csr(transpose=True)[:3]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x``."""
-        indptr, indices, data = self.adjacency()
-        return _kernels.csr_matvec(indptr, indices, data, x)
+        indptr, indices, data, rows = self._csr()
+        return _kernels.csr_matvec(indptr, indices, data, x, rows)
 
     def matvec_t(self, x: np.ndarray) -> np.ndarray:
         """``A.T @ x``."""
-        indptr, indices, data = self.adjacency_t()
-        return _kernels.csr_matvec(indptr, indices, data, x)
+        indptr, indices, data, rows = self._csr(transpose=True)
+        return _kernels.csr_matvec(indptr, indices, data, x, rows)
 
     def to_dense(self) -> np.ndarray:
         """Dense adjacency matrix (symmetrized for undirected graphs)."""
-        indptr, indices, data = self.adjacency()
+        _, indices, data, rows = self._csr()
         dense = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
         dense[rows, indices] = data
         return dense
 
@@ -777,16 +781,10 @@ def clustering_coefficient(g: Graph) -> ClusteringCoefficients:
     if g.directed:
         raise UnsupportedOperationError(
             "clustering coefficients are only defined for undirected graphs")
-    indptr, indices, data = g.adjacency()
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    _, indices, _, rows = g._csr()
     keep = rows != indices  # drop self-loops from the binary structure
-    if not np.all(keep):
-        rows = rows[keep]
-        indices = indices[keep]
-        counts = np.bincount(rows, minlength=g.n)
-        indptr = np.zeros(g.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = indices.astype(np.int64)
+    indices = indices[keep]
+    indptr = np.searchsorted(rows[keep], np.arange(g.n + 1))
     tri = _kernels.triangle_diag(indptr, indices,
                                  np.ones(indices.shape[0])) / 2.0
     deg = np.diff(indptr).astype(np.float64)

@@ -50,22 +50,24 @@ class GoogleModel:
     alpha: float
     preference: np.ndarray  # v, entrywise >= 0, sums to 1
     dangling: np.ndarray  # indicator a, 1.0 at nodes without out-edges
-    h_indptr: np.ndarray  # CSR of H
+    h_indptr: np.ndarray  # CSR of H: the graph's cached A^T structure
     h_indices: np.ndarray
     h_data: np.ndarray
-    ht_indptr: np.ndarray  # CSR of H^T
+    h_rows: np.ndarray  # row of each entry, cached on the graph too
+    ht_indptr: np.ndarray  # CSR of H^T: the graph's cached A structure
     ht_indices: np.ndarray
     ht_data: np.ndarray
+    ht_rows: np.ndarray
 
     def h_matvec(self, x: np.ndarray) -> np.ndarray:
         """``H @ x``."""
         return _kernels.csr_matvec(self.h_indptr, self.h_indices,
-                                   self.h_data, x)
+                                   self.h_data, x, self.h_rows)
 
     def ht_matvec(self, x: np.ndarray) -> np.ndarray:
         """``H.T @ x``."""
         return _kernels.csr_matvec(self.ht_indptr, self.ht_indices,
-                                   self.ht_data, x)
+                                   self.ht_data, x, self.ht_rows)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``P @ x`` without forming ``P``."""
@@ -125,15 +127,14 @@ def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
 
     # H^T = D^{-1} A and H = A^T D^{-1} share the graph's CSR structures
     # (read-only, cached on the graph) with data scaled by the source node
-    a_indptr, a_indices, a_data = g.adjacency()
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(a_indptr))
-    ht_data = a_data / denom[rows]
-    h_indptr, h_indices, at_data = g.adjacency_t()
+    a_indptr, a_indices, a_data, a_rows = g._csr()
+    ht_data = a_data / denom[a_rows]
+    h_indptr, h_indices, at_data, h_rows = g._csr(transpose=True)
     h_data = at_data / denom[h_indices]
 
     model = GoogleModel(n, float(alpha), v, dangling,
-                        h_indptr, h_indices, h_data,
-                        a_indptr, a_indices, ht_data)
+                        h_indptr, h_indices, h_data, h_rows,
+                        a_indptr, a_indices, ht_data, a_rows)
     for arr in (v, dangling, h_data, ht_data):
         arr.setflags(write=False)
     return model
@@ -191,8 +192,7 @@ def small_alpha_limit(g: Graph) -> np.ndarray:
         raise ValidationError("PageRank needs at least one node")
     out, _ = degrees(g)
     denom = np.where(out == 0.0, 1.0, out)
-    indptr, indices, data = g.adjacency()
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    _, indices, data, rows = g._csr()
     rowsums = np.zeros(g.n)
     np.add.at(rowsums, indices, data / denom[rows])
     return rowsums
@@ -210,8 +210,8 @@ def heat_kernel_rowsums(model: GoogleModel, t: float,
     if np.any(model.preference <= 0.0):
         raise ValidationError(
             "heat kernel requires a strictly positive preference vector")
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"t must be finite and non-negative, got {t}")
     if t > 700.0:
         raise DomainError(
             f"t={t} overflows float64 (row sums grow like e^t; keep t <= 700)")

@@ -185,8 +185,8 @@ def apply_series(g: Graph, f: SeriesFunction, t: float, v,
     :class:`TruncationError` with a tail-size estimate.
     """
     v = _validate_vector(g, v)
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"t must be finite and non-negative, got {t}")
     if math.isfinite(f.radius) and t > 0.0:
         if lambda1 is None:
             lambda1 = dominant_eigenpair(g).lambda1
@@ -195,11 +195,7 @@ def apply_series(g: Graph, f: SeriesFunction, t: float, v,
             raise DomainError(
                 f"t must lie in [0, t_star) with t_star = "
                 f"radius/lambda1 = {t_star:.12g}; got t = {t}")
-    indptr, indices, data = g.adjacency_t() if transpose else g.adjacency()
-
-    def matvec(x):
-        return _kernels.csr_matvec(indptr, indices, data, x)
-
+    matvec = g.matvec_t if transpose else g.matvec
     rho_hint = t * _norm_bound(g)
     result, _ = _series_action(matvec, f, t, v, tol, max_terms, rho_hint)
     return result
@@ -218,15 +214,11 @@ def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
     overflows float64.
     """
     v = _validate_vector(g, v)
-    if beta < 0.0:
-        raise DomainError(f"beta must be non-negative, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError(f"beta must be finite and non-negative, got {beta}")
     if beta == 0.0 or g.m == 0:
         return v.copy()
-    indptr, indices, data = g.adjacency_t() if transpose else g.adjacency()
-
-    def matvec(x):
-        return _kernels.csr_matvec(indptr, indices, data, x)
-
+    matvec = g.matvec_t if transpose else g.matvec
     with np.errstate(over="ignore", invalid="ignore"):
         w = _scaled_taylor(matvec, beta, _norm_bound(g), v, tol, max_terms)
     return _check_exp_finite(w, beta)
@@ -270,8 +262,9 @@ def resolvent_solve(g: Graph, alpha: float, v, *, tol: float = DEFAULT_TOL,
     ``v``). Iterates until ``||x_{m+1} - x_m||_1 <= tol * ||x_{m+1}||_1``.
     """
     v = _validate_vector(g, v)
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be non-negative, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(
+            f"alpha must be finite and non-negative, got {alpha}")
     if alpha == 0.0 or g.m == 0:
         return v.copy()
     if lambda1 is None:
@@ -359,8 +352,9 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
             f"dense eigendecomposition limited to {limit} nodes (graph has "
             f"{g.n}); raise CENTRALITY_DENSE_LIMIT or use "
             "total_communicability, which needs no dense factorization")
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        name = {"exponential": "beta", "resolvent": "alpha"}.get(f.kind, "t")
+        raise DomainError(f"{name} must be finite and non-negative, got {t}")
     if g.n == 0:
         return np.zeros(0)
 

@@ -1,10 +1,11 @@
 """Dominant eigenpairs, second eigenvalues, and spectral gaps.
 
-All routines are matrix-free power iterations over the graph's CSR
-adjacency. For a connected graph with non-negative weights the dominant
-eigenvector is entrywise positive (Perron-Frobenius); iterating on ``A + I``
-instead of ``A`` removes the sign oscillation that plain power iteration
-suffers on bipartite graphs, without changing the eigenvectors.
+All routines are matrix-free power iterations over
+:meth:`~walkrank.graph.Graph.matvec` and its transpose. For a connected
+graph with non-negative weights the dominant eigenvector is entrywise
+positive (Perron-Frobenius); iterating on ``A + I`` instead of ``A``
+removes the sign oscillation that plain power iteration suffers on
+bipartite graphs, without changing the eigenvectors.
 
 The second eigenvalue is the *algebraic* (signed) one: the largest
 eigenvalue of ``A`` restricted to the complement of the dominant
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     ConvergenceError,
     UnsupportedOperationError,
@@ -115,8 +115,7 @@ def _power_iteration(g: Graph, side: str, tol: float, max_iter: int,
         lam = float(g.weight.sum()) if g.m else 0.0
         return SpectralInfo(lam, np.ones(1), side, 0, 0.0)
 
-    indptr, indices, data = (g.adjacency() if side == "right"
-                             else g.adjacency_t())
+    matvec = g.matvec if side == "right" else g.matvec_t
     if start is None:
         x = np.full(n, 1.0 / np.sqrt(n))
     else:
@@ -129,7 +128,7 @@ def _power_iteration(g: Graph, side: str, tol: float, max_iter: int,
     lam = 0.0
     residual = np.inf
     for it in range(1, max_iter + 1):
-        ax = _kernels.csr_matvec(indptr, indices, data, x)
+        ax = matvec(x)
         lam = float(x @ ax)
         residual = float(np.linalg.norm(ax - lam * x))
         if residual <= tol * max(lam, np.finfo(float).tiny):
@@ -161,8 +160,6 @@ def second_eigenvalue(g: Graph, *, tol: float = DEFAULT_TOL,
         dominant = dominant_eigenpair(g, tol=tol, max_iter=max_iter)
     lam1 = dominant.lambda1
     q1 = dominant.dominant_vector
-    indptr, indices, data = g.adjacency()
-    n = g.n
 
     # deterministic start: the coordinate axis least aligned with q1,
     # projected onto the complement
@@ -178,7 +175,7 @@ def second_eigenvalue(g: Graph, *, tol: float = DEFAULT_TOL,
     lam2 = 0.0
     residual = np.inf
     for it in range(1, max_iter + 1):
-        ax = _kernels.csr_matvec(indptr, indices, data, x)
+        ax = g.matvec(x)
         # re-orthogonalize A x against q1 to stop roundoff drift
         ax -= (q1 @ ax) * q1
         lam2 = float(x @ ax)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -245,9 +246,41 @@ def test_malformed_edge_list_exits_2(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("compute", "--measure", "total-communicability", "--beta", "inf"),
+     "beta must be finite and non-negative, got inf"),
+    (("compute", "--measure", "total-communicability", "--beta", "nan"),
+     "beta must be finite and non-negative, got nan"),
+    (("compute", "--measure", "heat-kernel", "--t", "nan"),
+     "t must be finite and non-negative, got nan"),
+    (("compute", "--measure", "katz", "--alpha", "nan"),
+     "alpha must be finite and non-negative, got nan"),
+    (("compute", "--measure", "exp-subgraph", "--beta", "nan"),
+     "beta must be finite and non-negative, got nan"),
+    (("compute", "--measure", "resolvent-subgraph", "--alpha=-inf"),
+     "alpha must be finite and non-negative, got -inf"),
+    (("compute", "--measure", "eigenvector", "--tol", "0"),
+     "--tol must be positive and finite, got 0.0"),
+    (("compute", "--measure", "eigenvector", "--tol", "nan"),
+     "--tol must be positive and finite, got nan"),
+    (("compute", "--measure", "katz", "--tol=-1e-10"),
+     "--tol must be positive and finite, got -1e-10"),
+    (("sweep", "--measure", "katz", "--tol", "inf"),
+     "--tol must be positive and finite, got inf"),
+])
+def test_non_finite_parameter_exits_2_naming_it(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--input", "builtin:karate",
+                         *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_nonconvergence_exits_3(capsys):
     code, _, err = run(capsys, "compute", "--input", "builtin:karate",
-                       "--measure", "eigenvector", "--tol", "0")
+                       "--measure", "eigenvector", "--tol", "1e-300")
     assert code == 3
     assert "did not reach" in err
 

@@ -1,7 +1,16 @@
 import numpy as np
 
 from walkrank import _kernels
-from walkrank.generators import erdos_renyi
+from walkrank.datasets import karate
+from walkrank.generators import erdos_renyi, strongly_connected_digraph
+from walkrank.graph import Graph, degrees
+from walkrank.measures import (
+    eigenvector_centrality,
+    katz,
+    total_communicability,
+)
+from walkrank.pagerank import build_model, pagerank_power, small_alpha_limit
+from walkrank.ranking import limit_sweep
 
 
 def random_csr(rng, n=None, directed=True):
@@ -21,8 +30,8 @@ def test_matvec_numpy_matches_dense():
         rows = np.repeat(np.arange(n), np.diff(indptr))
         dense[rows, indices] = data
         x = rng.standard_normal(n)
-        assert np.allclose(_kernels.csr_matvec(indptr, indices, data, x),
-                           dense @ x)
+        assert np.allclose(
+            _kernels.csr_matvec(indptr, indices, data, x, rows), dense @ x)
 
 
 def test_neumann_matches_dense_solve():
@@ -68,3 +77,97 @@ def test_neumann_stops_at_max_iter_without_converging():
 
 def test_warmup_runs_on_selected_backend():
     _kernels.warmup()
+
+
+# ---------------------------------------------------------------------------
+# the graph's adjacency operator
+# ---------------------------------------------------------------------------
+
+def reference_matvec(indptr, indices, data, x):
+    """``A @ x`` with the row index expanded on the spot."""
+    n = indptr.shape[0] - 1
+    if data.shape[0] == 0:
+        return np.zeros(n)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return np.bincount(rows, weights=data * x[indices], minlength=n)
+
+
+def operator_graphs():
+    """Seeded graphs of every shape the operator must handle: directed and
+    undirected, weighted or not, with self-loops and with an isolated node
+    (an empty row and a dangling node), plus ``n = 1`` and ``m = 0``."""
+    yield Graph.from_edges(1, [], directed=True)
+    yield Graph.from_edges(1, [(0, 0, 2.5)], allow_loops=True)
+    yield Graph.from_edges(4, [], directed=False)
+    yield karate()
+    yield strongly_connected_digraph(30, 0.1, 5)
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(1, 3 * n))
+        pairs = rng.integers(0, n - 1, size=(m, 2)).tolist()
+        weights = (rng.uniform(0.1, 3.0, m) if case % 4 < 2
+                   else np.ones(m)).tolist()
+        yield Graph.from_edges(
+            n, [(u, v, w) for (u, v), w in zip(pairs, weights)],
+            directed=case % 2 == 0, allow_loops=True)
+
+
+def test_graph_and_model_matvecs_are_bitwise_unchanged():
+    rng = np.random.default_rng(42)
+    for g in operator_graphs():
+        x = rng.standard_normal(g.n)
+        model = build_model(g, 0.85)
+        for got, csr in ((g.matvec(x), g.adjacency()),
+                         (g.matvec_t(x), g.adjacency_t()),
+                         (model.h_matvec(x), (model.h_indptr,
+                                              model.h_indices,
+                                              model.h_data)),
+                         (model.ht_matvec(x), (model.ht_indptr,
+                                               model.ht_indices,
+                                               model.ht_data))):
+            assert np.array_equal(got, reference_matvec(*csr, x)), g
+
+        out, _ = degrees(g)
+        indptr, indices, data = g.adjacency()
+        rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+        expected = np.zeros(g.n)
+        np.add.at(expected, indices, data / np.where(out == 0.0, 1.0,
+                                                     out)[rows])
+        assert np.array_equal(small_alpha_limit(g), expected), g
+
+
+def test_row_index_is_built_once_per_side_and_reaches_every_matvec(
+        monkeypatch):
+    h = strongly_connected_digraph(40, 0.1, 7)
+    g = Graph(h.n, h.src, h.dst, h.weight, h.directed, h.node_labels)
+    builds = []
+    build_csr = Graph._build_csr
+
+    def counting_build(self, transpose):
+        builds.append(transpose)
+        return build_csr(self, transpose)
+
+    monkeypatch.setattr(Graph, "_build_csr", counting_build)
+    rows_seen = []
+    csr_matvec = _kernels.csr_matvec
+
+    def traced(*args, **kwargs):  # reads its arguments as the tracer does
+        assert len(args) == 5 and not kwargs
+        rows_seen.append(args[4])
+        return csr_matvec(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "csr_matvec", traced)
+    katz(g, side="receive")
+    total_communicability(g)
+    total_communicability(g, side="receive")
+    eigenvector_centrality(g)
+    eigenvector_centrality(g, side="receive")
+    pagerank_power(build_model(g))
+    limit_sweep(g, "pagerank")
+
+    assert sorted(builds) == [False, True]
+    cached = (g._csr()[3], g._csr(transpose=True)[3])
+    assert all(rows is cached[0] or rows is cached[1] for rows in rows_seen)
+    assert any(rows is cached[0] for rows in rows_seen)
+    assert any(rows is cached[1] for rows in rows_seen)

@@ -59,18 +59,22 @@ def test_model_h_shares_the_graph_transposed_csr():
         model = build_model(g, 0.85)
         indptr_t, indices_t, _ = g.adjacency_t()
         assert model.h_indptr is indptr_t and model.h_indices is indices_t
+        assert model.h_rows is g._csr(transpose=True)[3]
+        assert model.ht_rows is g._csr()[3]
         a = g.to_dense()
         out = a.sum(axis=1)
         expected_h = a.T / np.where(out == 0.0, 1.0, out)
         h = np.zeros((n, n))
         rows = np.repeat(np.arange(n), np.diff(model.h_indptr))
+        assert np.array_equal(model.h_rows, rows)
         h[rows, model.h_indices] = model.h_data
         assert np.allclose(h, expected_h, rtol=1e-15, atol=0.0)
         assert np.array_equal(model.dangling, (out == 0.0).astype(float))
         for name in ("preference", "dangling", "h_indptr", "h_indices",
-                     "h_data", "ht_indptr", "ht_indices", "ht_data"):
+                     "h_data", "h_rows", "ht_indptr", "ht_indices",
+                     "ht_data", "ht_rows"):
             assert not getattr(model, name).flags.writeable, name
-        for arr in (*g.adjacency(), *g.adjacency_t()):
+        for arr in (*g._csr(), *g._csr(transpose=True)):
             assert not arr.flags.writeable
 
 

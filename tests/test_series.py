@@ -24,6 +24,7 @@ from walkrank import (
 )
 from walkrank.datasets import karate
 from walkrank.generators import connected_erdos_renyi, strongly_connected_digraph
+from walkrank.pagerank import build_model, heat_kernel_rowsums
 
 from oracles import expm_taylor
 
@@ -363,3 +364,20 @@ def test_custom_series_function():
     # t* = radius / lambda1 = 2 / 2 = 1
     with pytest.raises(DomainError):
         apply_series(g, geometric_half, 1.0, np.ones(3))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_parameter_outside_its_range_is_named(value):
+    g = k3()
+    ones = np.ones(g.n)
+    calls = [("t", lambda: apply_series(g, EXPONENTIAL, value, ones)),
+             ("t", lambda: apply_series(g, RESOLVENT, value, ones)),
+             ("beta", lambda: exp_action(g, value, ones)),
+             ("alpha", lambda: resolvent_solve(g, value, ones)),
+             ("beta", lambda: fa_diagonal(g, EXPONENTIAL, value)),
+             ("alpha", lambda: fa_diagonal(g, RESOLVENT, value)),
+             ("t", lambda: heat_kernel_rowsums(build_model(g), value))]
+    for name, call in calls:
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be finite and non-negative"):
+            call()
