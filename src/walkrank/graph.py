@@ -59,7 +59,12 @@ class Graph:
 
     Use :meth:`from_edges` (or the loaders in this module) rather than the
     raw constructor; the factory validates, merges duplicates, and
-    canonicalizes edge order.
+    canonicalizes edge order. Every graph keeps the invariant that
+    ``src``/``dst`` (int64) and ``weight`` (float64) hold distinct edges
+    sorted by ``(src, dst)``, undirected ones as ``(min, max)``: a raw
+    constructor call must pass arrays of an existing graph or arrays that
+    keep it. So the stored edges are the CSR of a directed ``A`` as they
+    stand, and the other sides need one ``argsort`` of unique keys.
 
     Data derived from the graph is computed once and kept in :meth:`memo`
     for the graph's lifetime: the CSR adjacency and its transpose, each
@@ -196,19 +201,20 @@ class Graph:
     # -- adjacency ----------------------------------------------------------
 
     def _build_csr(self, transpose: bool):
-        if self.directed:
-            rows = self.dst if transpose else self.src
-            cols = self.src if transpose else self.dst
-            vals = self.weight
+        if self.directed and not transpose:
+            # the stored edge order is already the CSR order of A
+            rows, indices, data = self.src, self.dst, self.weight
         else:
-            loops = self.src == self.dst
-            rows = np.concatenate([self.src, self.dst[~loops]])
-            cols = np.concatenate([self.dst, self.src[~loops]])
-            vals = np.concatenate([self.weight, self.weight[~loops]])
-        order = np.lexsort((cols, rows))
-        rows = rows[order]
-        indices = cols[order].astype(np.int64)
-        data = vals[order].astype(np.float64)
+            if self.directed:
+                rows, cols, vals = self.dst, self.src, self.weight
+            else:
+                loops = self.src == self.dst
+                rows = np.concatenate([self.dst[~loops], self.src])
+                cols = np.concatenate([self.src[~loops], self.dst])
+                vals = np.concatenate([self.weight[~loops], self.weight])
+            # the (row, col) keys are unique, so any sort gives one order
+            order = np.argsort(rows * self.n + cols)
+            rows, indices, data = rows[order], cols[order], vals[order]
         indptr = np.searchsorted(rows, np.arange(self.n + 1))
         for arr in (indptr, indices, data, rows):
             arr.setflags(write=False)
@@ -635,10 +641,10 @@ def degrees(g: Graph) -> Degrees:
 def _tarjan_components(g: Graph) -> list[np.ndarray]:
     """Strongly connected components (iterative Tarjan), as id arrays."""
     n = g.n
-    indptr, indices, _ = g.adjacency()
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
+    indptr, indices = (a.tolist() for a in g.adjacency()[:2])
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = bytearray(n)
     stack: list[int] = []
     components: list[np.ndarray] = []
     counter = 0
@@ -651,17 +657,17 @@ def _tarjan_components(g: Graph) -> list[np.ndarray]:
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
+        on_stack[root] = 1
         while work:
             v, ptr = work[-1]
             if ptr < indptr[v + 1]:
                 work[-1][1] = ptr + 1
-                w = int(indices[ptr])
+                w = indices[ptr]
                 if index[w] == -1:
                     index[w] = lowlink[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
+                    on_stack[w] = 1
                     work.append([w, indptr[w]])
                 elif on_stack[w]:
                     lowlink[v] = min(lowlink[v], index[w])
@@ -674,7 +680,7 @@ def _tarjan_components(g: Graph) -> list[np.ndarray]:
                     comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
+                        on_stack[w] = 0
                         comp.append(w)
                         if w == v:
                             break
@@ -709,52 +715,48 @@ def largest_scc(g: Graph) -> tuple[Graph, np.ndarray]:
     return sub, mapping.copy()
 
 
-def is_connected(g: Graph) -> bool:
-    """Connectivity of the undirected skeleton (BFS, once per graph)."""
-    return g.memo("connected", lambda: _bfs_connected(g))
+def _reach_count(g: Graph, sides: tuple[bool, ...]) -> int:
+    """Number of nodes reachable from node 0 along the edges of every CSR
+    side in ``sides`` (``False`` for ``A``, ``True`` for ``A.T``).
 
-
-def _bfs_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    indptr, indices, _ = g.adjacency()
-    if g.directed:
-        indptr_t, indices_t, _ = g.adjacency_t()
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for p in range(indptr[v], indptr[v + 1]):
-                w = int(indices[p])
+    A stack DFS over memoryviews of the sides' CSR: its cost is O(n + m)
+    whatever the graph's diameter. A view makes each id a Python int only
+    while it is read, where ``tolist`` would hold one int object per stored
+    entry for the whole pass.
+    """
+    adjacency = [tuple(map(memoryview, g._csr(side)[:2])) for side in sides]
+    seen = bytearray(g.n)
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for indptr, indices in adjacency:
+            for w in indices[indptr[v]:indptr[v + 1]]:
                 if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    nxt.append(w)
-            if g.directed:
-                for p in range(indptr_t[v], indptr_t[v + 1]):
-                    w = int(indices_t[p])
-                    if not seen[w]:
-                        seen[w] = True
-                        count += 1
-                        nxt.append(w)
-        frontier = nxt
-    return count == g.n
+                    seen[w] = 1
+                    stack.append(w)
+    return seen.count(1)
+
+
+def is_connected(g: Graph) -> bool:
+    """Connectivity of the undirected skeleton (one reachability pass over
+    both sides, once per graph)."""
+    sides = (False, True) if g.directed else (False,)
+    return g.n > 0 and g.memo("connected",
+                              lambda: _reach_count(g, sides) == g.n)
 
 
 def is_strongly_connected(g: Graph) -> bool:
-    """Strong connectivity (Tarjan, once per graph); for an undirected
-    graph, :func:`is_connected`."""
+    """Strong connectivity (once per graph): every node is reachable from
+    node 0 along ``A`` and along ``A.T``. For an undirected graph,
+    :func:`is_connected`."""
     if g.n == 0:
         return False
     if not g.directed:
         return is_connected(g)
     return g.memo("strongly_connected",
-                  lambda: max(len(c) for c in _tarjan_components(g)) == g.n)
+                  lambda: all(_reach_count(g, (side,)) == g.n
+                              for side in (False, True)))
 
 
 def triangle_counts(g: Graph) -> np.ndarray:

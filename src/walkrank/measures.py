@@ -41,7 +41,12 @@ from .series import (
     feasible_interval,
     resolvent_solve,
 )
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, dominant_eigenpair
+from .spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _check_tol,
+    dominant_eigenpair,
+)
 
 __all__ = [
     "CentralityVector",
@@ -165,6 +170,7 @@ def hits(g: Graph, *, tol: float = DEFAULT_TOL,
     graph with at least one edge; entries can be zero for nodes that play
     only one of the two roles.
     """
+    _check_tol(tol)
     if g.m == 0:
         raise ValidationError("HITS requires at least one edge")
     if not is_connected(g):

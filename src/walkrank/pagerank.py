@@ -27,6 +27,7 @@ from . import _kernels
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graph import Graph, degrees
 from .series import DEFAULT_MAX_TERMS, _scaled_taylor
+from .spectral import _check_tol
 
 __all__ = [
     "GoogleModel",
@@ -147,6 +148,7 @@ def pagerank_power(model: GoogleModel, *, tol: float = DEFAULT_TOL,
     Stops when the 1-norm step falls to ``tol``; the result is normalized to
     a probability vector (the iteration preserves the sum up to roundoff).
     """
+    _check_tol(tol)
     p = model.preference.copy()
     delta = math.inf
     for _ in range(max_iter):
@@ -171,6 +173,7 @@ def pagerank_linear(model: GoogleModel, *, tol: float = DEFAULT_TOL,
     for the uniform preference (any graph) and for graphs without dangling
     nodes.
     """
+    _check_tol(tol)
     x, _, diff = _kernels.neumann(model.h_indptr, model.h_indices,
                                   model.h_data, model.preference,
                                   model.alpha, tol, max_iter)
@@ -212,6 +215,7 @@ def heat_kernel_rowsums(model: GoogleModel, t: float,
             "heat kernel requires a strictly positive preference vector")
     if not 0.0 <= t < math.inf:
         raise DomainError(f"t must be finite and non-negative, got {t}")
+    _check_tol(tol)
     if t > 700.0:
         raise DomainError(
             f"t={t} overflows float64 (row sums grow like e^t; keep t <= 700)")

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, degrees
-from .spectral import dominant_eigenpair
+from .spectral import _check_tol, dominant_eigenpair
 
 __all__ = [
     "SeriesFunction",
@@ -187,6 +187,7 @@ def apply_series(g: Graph, f: SeriesFunction, t: float, v,
     v = _validate_vector(g, v)
     if not 0.0 <= t < math.inf:
         raise DomainError(f"t must be finite and non-negative, got {t}")
+    _check_tol(tol)
     if math.isfinite(f.radius) and t > 0.0:
         if lambda1 is None:
             lambda1 = dominant_eigenpair(g).lambda1
@@ -216,6 +217,7 @@ def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
     v = _validate_vector(g, v)
     if not 0.0 <= beta < math.inf:
         raise DomainError(f"beta must be finite and non-negative, got {beta}")
+    _check_tol(tol)
     if beta == 0.0 or g.m == 0:
         return v.copy()
     matvec = g.matvec_t if transpose else g.matvec
@@ -265,6 +267,7 @@ def resolvent_solve(g: Graph, alpha: float, v, *, tol: float = DEFAULT_TOL,
     if not 0.0 <= alpha < math.inf:
         raise DomainError(
             f"alpha must be finite and non-negative, got {alpha}")
+    _check_tol(tol)
     if alpha == 0.0 or g.m == 0:
         return v.copy()
     if lambda1 is None:

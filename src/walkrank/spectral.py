@@ -20,12 +20,14 @@ annihilates the complement (e.g. a single edge, where the spectrum is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConvergenceError,
+    DomainError,
     UnsupportedOperationError,
     ValidationError,
 )
@@ -66,6 +68,12 @@ class SpectralInfo:
         return None if self.lambda2 is None else self.lambda1 - self.lambda2
 
 
+def _check_tol(tol: float) -> None:
+    """Raise :class:`DomainError` unless ``tol`` is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+
+
 def _require_irreducible(g: Graph) -> None:
     if g.n == 0:
         raise ValidationError("graph has no nodes")
@@ -100,6 +108,7 @@ def dominant_eigenpair(g: Graph, *, side: str = "right",
     """
     if side not in ("right", "left"):
         raise ValidationError(f"side must be 'right' or 'left', got {side!r}")
+    _check_tol(tol)
     if start is not None:
         return _power_iteration(g, side, tol, max_iter, start)
     return g.memo(("dominant_eigenpair", side, tol, max_iter),

@@ -62,6 +62,38 @@ def brute_triangles(g):
     return counts / 2.0
 
 
+def recursive_tarjan(n, successors):
+    """Strongly connected components by textbook recursive Tarjan, roots
+    taken in id order and ``successors[v]`` in list order; each component
+    sorted, the components in the order they complete."""
+    index, low, on_stack, stack, out = {}, {}, set(), [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in successors[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == v:
+                    break
+            out.append(sorted(comp))
+
+    for v in range(n):
+        if v not in index:
+            visit(v)
+    return out
+
+
 def brute_isim(a, b, k):
     """Intersection distance straight from its defining prefix-set sum."""
     total = 0.0

@@ -20,10 +20,17 @@ from walkrank import (
     load_matrix_market,
     triangle_counts,
 )
+from walkrank import _kernels
+from walkrank import graph as graph_module
 from walkrank.datasets import karate, six_node_digraph
 from walkrank.generators import erdos_renyi
 
-from oracles import brute_triangles, oracle_edge_list, oracle_matrix_market
+from oracles import (
+    brute_triangles,
+    oracle_edge_list,
+    oracle_matrix_market,
+    recursive_tarjan,
+)
 
 
 def parse(text, **kw):
@@ -542,6 +549,22 @@ def test_degree_sum_matches_edge_weight():
 # components
 # ---------------------------------------------------------------------------
 
+def test_tarjan_components_match_recursive_tarjan():
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 3 * n))
+        g = Graph._from_arrays(n, rng.integers(0, n, m),
+                               rng.integers(0, n, m), np.ones(m),
+                               directed=True, allow_loops=True)
+        indptr, indices, _ = g.adjacency()
+        successors = [indices[indptr[v]:indptr[v + 1]].tolist()
+                      for v in range(n)]
+        got = graph_module._tarjan_components(g)
+        assert [c.tolist() for c in got] == recursive_tarjan(n, successors)
+        assert all(c.dtype == np.int64 for c in got)
+
+
 def test_largest_scc_of_six_node_fixture():
     g = six_node_digraph()
     sub, mapping = largest_scc(g)
@@ -602,6 +625,95 @@ def test_connectivity_predicates():
     assert is_connected(Graph.from_edges(1, []))
 
 
+def _connectivity_cases():
+    rng = np.random.default_rng(41)
+    for k in range(50):
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(0, 3 * n))
+        yield Graph._from_arrays(n, rng.integers(0, n, m),
+                                 rng.integers(0, n, m), np.ones(m),
+                                 directed=k % 2 == 0, allow_loops=True)
+    yield parse("1 2\n2 3\n3 4\n", directed=True)  # chain
+    yield parse("1 2\n2 3\n3 1\n3 4\n", directed=True)  # sink node 4
+    yield parse("1 2\n2 1\n3 4\n4 3\n2 3\n", directed=True)  # one arc
+    yield Graph.from_edges(4, [(0, 1), (1, 2), (2, 0)])  # isolated node 3
+    yield Graph.from_edges(4, [(1, 2), (2, 3)])  # isolated node 0
+    yield Graph.from_edges(0, [], directed=True)
+    yield Graph.from_edges(1, [], directed=True)
+    yield Graph.from_edges(1, [])
+
+
+def test_connectivity_matches_scipy_components():
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    for g in _connectivity_cases():
+        a = sp.csr_array((g.weight, (g.src, g.dst)), shape=(g.n, g.n))
+        weak = connected_components(a, directed=True, connection="weak")[0]
+        strong = connected_components(a, directed=True,
+                                      connection="strong")[0]
+        assert is_connected(g) == (g.n > 0 and weak == 1), g
+        expected = weak if not g.directed else strong
+        assert is_strongly_connected(g) == (g.n > 0 and expected == 1), g
+
+
+def test_long_directed_ring_connectivity():
+    n = 50_000
+    src = np.arange(n)
+    ring = Graph._from_arrays(n, src, (src + 1) % n, np.ones(n),
+                              directed=True)
+    assert is_strongly_connected(ring)
+    cut = Graph._from_arrays(n, src[1:], (src[1:] + 1) % n, np.ones(n - 1),
+                             directed=True)
+    assert is_connected(cut)
+    assert not is_strongly_connected(cut)
+
+
+def _lexsort_csr(g, transpose):
+    """The CSR of ``A`` or ``A.T`` by a two-key lexsort of all entries."""
+    if g.directed:
+        rows = g.dst if transpose else g.src
+        cols = g.src if transpose else g.dst
+        vals = g.weight
+    else:
+        loops = g.src == g.dst
+        rows = np.concatenate([g.src, g.dst[~loops]])
+        cols = np.concatenate([g.dst, g.src[~loops]])
+        vals = np.concatenate([g.weight, g.weight[~loops]])
+    order = np.lexsort((cols, rows))
+    rows = rows[order]
+    return (np.searchsorted(rows, np.arange(g.n + 1)),
+            cols[order].astype(np.int64), vals[order].astype(np.float64),
+            rows)
+
+
+def test_csr_is_bitwise_the_lexsort_csr():
+    rng = np.random.default_rng(43)
+    graphs = [karate(), six_node_digraph(), Graph.from_edges(5, []),
+              Graph.from_edges(5, [], directed=True)]
+    for k in range(24):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 4 * n))
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        weight = rng.uniform(0.1, 3.0, m) if k % 2 else np.ones(m)
+        loops = k % 3 == 0
+        if not loops:
+            keep = src != dst
+            src, dst, weight = src[keep], dst[keep], weight[keep]
+        graphs.append(Graph._from_arrays(n, src, dst, weight,
+                                         directed=k % 4 < 2,
+                                         allow_loops=loops))
+    graphs += [Graph(h.n, h.src.copy(), h.dst.copy(), h.weight.copy(),
+                     h.directed, h.node_labels.copy()) for h in graphs[:]]
+    for g in graphs:
+        for transpose in (False, True):
+            got = g._csr(transpose)
+            for have, want in zip(got, _lexsort_csr(g, transpose)):
+                assert have.dtype == want.dtype, g
+                assert np.array_equal(have, want), g
+                assert not have.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # triangles and clustering
 # ---------------------------------------------------------------------------
@@ -631,6 +743,26 @@ def test_triangle_counts_weighted_is_weighted_cube_diagonal():
     a = g.to_dense()
     assert np.allclose(triangle_counts(g), np.diag(a @ a @ a) / 2.0)
     del rng
+
+
+def test_triangle_counts_weighted_with_loops_match_dense_cube(monkeypatch):
+    rng = np.random.default_rng(53)
+    for chunk in (1 << 20, 3):
+        monkeypatch.setattr(_kernels, "_WEDGE_CHUNK", chunk)
+        for k in range(30):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(0, 4 * n))
+            weight = rng.uniform(0.1, 3.0, m) if k % 2 else np.ones(m)
+            g = Graph._from_arrays(n, rng.integers(0, n, m),
+                                   rng.integers(0, n, m), weight,
+                                   allow_loops=True, directed=False)
+            a = g.to_dense()
+            expected = np.diag(a @ a @ a) / 2.0
+            got = triangle_counts(g)
+            if k % 2:
+                assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+            else:  # integer walk counts are exact
+                assert np.array_equal(got, expected)
 
 
 def test_triangle_counts_rejects_directed():

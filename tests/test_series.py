@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,12 +20,19 @@ from walkrank import (
     exp_action,
     fa_diagonal,
     feasible_interval,
+    hits,
+    katz,
     limit_sweep,
     resolvent_solve,
 )
 from walkrank.datasets import karate
 from walkrank.generators import connected_erdos_renyi, strongly_connected_digraph
-from walkrank.pagerank import build_model, heat_kernel_rowsums
+from walkrank.pagerank import (
+    build_model,
+    heat_kernel_rowsums,
+    pagerank_linear,
+    pagerank_power,
+)
 
 from oracles import expm_taylor
 
@@ -381,3 +389,24 @@ def test_parameter_outside_its_range_is_named(value):
         with pytest.raises(DomainError,
                            match=f"^{name} must be finite and non-negative"):
             call()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_tolerance_outside_its_range_is_named_at_once(tol):
+    g = karate()
+    ones = np.ones(g.n)
+    calls = [lambda: dominant_eigenpair(g, tol=tol),
+             lambda: resolvent_solve(g, 0.01, ones, tol=tol),
+             lambda: apply_series(g, EXPONENTIAL, 0.1, ones, tol=tol),
+             lambda: exp_action(g, 0.1, ones, tol=tol),
+             lambda: pagerank_power(build_model(g), tol=tol),
+             lambda: pagerank_linear(build_model(g), tol=tol),
+             lambda: heat_kernel_rowsums(build_model(g), 1.0, tol=tol),
+             lambda: hits(g, tol=tol),
+             lambda: katz(g, tol=tol)]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(DomainError,
+                           match="^tol must be positive and finite, got"):
+            call()
+        assert time.perf_counter() - start < 0.1

@@ -179,25 +179,26 @@ def test_invalid_side_rejected():
 
 def test_katz_sweep_runs_one_power_iteration_per_side(monkeypatch):
     sides = []
-    tarjan_runs = []
+    reach_passes = []
     power_iteration = spectral_module._power_iteration
-    tarjan = graph_module._tarjan_components
+    reach_count = graph_module._reach_count
 
     def counting_power_iteration(g, side, *args):
         sides.append(side)
         return power_iteration(g, side, *args)
 
-    def counting_tarjan(g):
-        tarjan_runs.append(g.n)
-        return tarjan(g)
+    def counting_reach(g, csr_sides):
+        reach_passes.append(csr_sides)
+        return reach_count(g, csr_sides)
 
     monkeypatch.setattr(spectral_module, "_power_iteration",
                         counting_power_iteration)
-    monkeypatch.setattr(graph_module, "_tarjan_components", counting_tarjan)
+    monkeypatch.setattr(graph_module, "_reach_count", counting_reach)
     g = strongly_connected_digraph(40, 0.1, 5)
     limit_sweep(g, "katz", side="receive")
     assert sorted(sides) == ["left", "right"]
-    assert tarjan_runs == [g.n]
+    # strong connectivity: one forward and one backward pass per graph
+    assert reach_passes == [(False,), (True,)]
 
 
 def test_cached_eigenpair_is_shared_and_read_only():
