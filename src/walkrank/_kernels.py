@@ -6,8 +6,7 @@ primitives:
 * ``csr_matvec``   -- ``y = A @ x``, given the row of each stored entry
   (``Graph.matvec`` passes the one its graph caches)
 * ``neumann``      -- the full fixed-point loop ``x <- v + alpha * A @ x``
-* ``triangle_diag``-- ``diag(A^3)`` via degree-oriented wedges, each
-  closing edge found by one ``searchsorted``
+* ``triangle_diag``-- ``diag(A^3)`` via sorted-row merge intersection
 
 Callers look them up as attributes of this module at each call, so they can
 be replaced (for instance by a tracing wrapper) in one place.
@@ -65,62 +64,23 @@ def neumann(indptr, indices, data, v, alpha, tol, max_iter):
     return x, it, diff
 
 
-_WEDGE_CHUNK = 1 << 20
-
-
 def triangle_diag(indptr, indices, data):
-    """diag(A @ A @ A) for a symmetric CSR matrix with sorted row indices.
-
-    Each off-diagonal edge is oriented toward its end of higher ``(degree,
-    id)``, so every triangle is the closing edge of exactly one wedge of
-    two out-edges of its lowest node, and a node has O(sqrt(m)) out-edges.
-    The wedges are made in chunks of about ``_WEDGE_CHUNK``; one
-    ``searchsorted`` on the sorted ``(row, col)`` keys finds each closing
-    edge. A triangle adds twice the product of its three weights to each
-    of its nodes; self-loops add their closed walks in closed form.
-    """
+    """diag(A @ A @ A) for a symmetric CSR matrix with sorted row indices."""
     n = indptr.shape[0] - 1
-    rows = _row_index(indptr)
-    keys = rows * n + indices
-    loop = rows == indices
-    off = ~loop
-    deg = np.bincount(rows[off], minlength=n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
-    up = off & (rank[rows] < rank[indices])
-    src, dst, w = rows[up], indices[up], data[up]
-    # out-edges of the oriented graph, grouped by source as in the CSR
-    ends = np.searchsorted(src, np.arange(1, n + 1))
-    later = ends[src] - np.arange(src.shape[0]) - 1
-    bounds = np.searchsorted(np.cumsum(later),
-                             np.arange(0, later.sum(), _WEDGE_CHUNK),
-                             side="right")
-    bounds = np.append(bounds, src.shape[0])
-    tri = np.zeros(n)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        count = later[lo:hi]
-        first = np.repeat(np.arange(lo, hi), count)
-        offset = np.arange(first.shape[0]) - np.repeat(
-            np.cumsum(count) - count, count)
-        second = first + 1 + offset
-        closing = dst[first] * n + dst[second]
-        pos = np.minimum(np.searchsorted(keys, closing), keys.shape[0] - 1)
-        closed = keys[pos] == closing
-        first, second, pos = first[closed], second[closed], pos[closed]
-        product = w[first] * w[second] * data[pos]
-        for nodes in (src[first], dst[first], dst[second]):
-            tri += np.bincount(nodes, weights=product, minlength=n)
-    out = 2.0 * tri
-    if loop.any():
-        # walks i-i-i-i, i-i-j-i, i-j-i-i and i-j-j-i of the loops
-        self_w = np.zeros(n)
-        self_w[rows[loop]] = data[loop]
-        square = data[off] ** 2
-        out += (self_w ** 3
-                + 2.0 * self_w * np.bincount(rows[off], weights=square,
-                                             minlength=n)
-                + np.bincount(rows[off], weights=square * self_w[indices[off]],
-                              minlength=n))
+    out = np.zeros(n)
+    rows_idx = [indices[indptr[i]:indptr[i + 1]] for i in range(n)]
+    rows_dat = [data[indptr[i]:indptr[i + 1]] for i in range(n)]
+    for i in range(n):
+        idx_i = rows_idx[i]
+        dat_i = rows_dat[i]
+        acc = 0.0
+        for j, w_ij in zip(idx_i, dat_i):
+            j = int(j)
+            _, ia, ib = np.intersect1d(idx_i, rows_idx[j],
+                                       assume_unique=True,
+                                       return_indices=True)
+            acc += w_ij * float(np.dot(dat_i[ia], rows_dat[j][ib]))
+        out[i] = acc
     return out
 
 

@@ -59,12 +59,13 @@ class Graph:
 
     Use :meth:`from_edges` (or the loaders in this module) rather than the
     raw constructor; the factory validates, merges duplicates, and
-    canonicalizes edge order. Every graph keeps the invariant that
+    canonicalizes edge order. Its graphs keep the invariant that
     ``src``/``dst`` (int64) and ``weight`` (float64) hold distinct edges
-    sorted by ``(src, dst)``, undirected ones as ``(min, max)``: a raw
-    constructor call must pass arrays of an existing graph or arrays that
-    keep it. So the stored edges are the CSR of a directed ``A`` as they
-    stand, and the other sides need one ``argsort`` of unique keys.
+    sorted by ``(src, dst)``, undirected ones as ``(min, max)``. So the
+    stored edges are the CSR of a directed ``A`` as they stand, and the
+    other sides need one ``argsort`` of ``(row, col)`` keys. A raw
+    constructor call that breaks the invariant costs that sort on every
+    side; its duplicate edges stay separate CSR entries, in no set order.
 
     Data derived from the graph is computed once and kept in :meth:`memo`
     for the graph's lifetime: the CSR adjacency and its transpose, each
@@ -201,20 +202,24 @@ class Graph:
     # -- adjacency ----------------------------------------------------------
 
     def _build_csr(self, transpose: bool):
-        if self.directed and not transpose:
-            # the stored edge order is already the CSR order of A
-            rows, indices, data = self.src, self.dst, self.weight
+        if self.directed:
+            rows = self.dst if transpose else self.src
+            cols = self.src if transpose else self.dst
+            vals = self.weight
         else:
-            if self.directed:
-                rows, cols, vals = self.dst, self.src, self.weight
-            else:
-                loops = self.src == self.dst
-                rows = np.concatenate([self.dst[~loops], self.src])
-                cols = np.concatenate([self.src[~loops], self.dst])
-                vals = np.concatenate([self.weight[~loops], self.weight])
-            # the (row, col) keys are unique, so any sort gives one order
-            order = np.argsort(rows * self.n + cols)
-            rows, indices, data = rows[order], cols[order], vals[order]
+            loops = self.src == self.dst
+            rows = np.concatenate([self.dst[~loops], self.src])
+            cols = np.concatenate([self.src[~loops], self.dst])
+            vals = np.concatenate([self.weight[~loops], self.weight])
+        key = rows * self.n + cols
+        # edges kept in the class invariant are already sorted for a
+        # digraph's A; distinct edges have unique (row, col) keys, so any
+        # sort gives the lexsort order
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key)
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        indices = cols.astype(np.int64, copy=False)
+        data = vals.astype(np.float64, copy=False)
         indptr = np.searchsorted(rows, np.arange(self.n + 1))
         for arr in (indptr, indices, data, rows):
             arr.setflags(write=False)

@@ -20,7 +20,6 @@ from walkrank import (
     load_matrix_market,
     triangle_counts,
 )
-from walkrank import _kernels
 from walkrank import graph as graph_module
 from walkrank.datasets import karate, six_node_digraph
 from walkrank.generators import erdos_renyi
@@ -703,8 +702,11 @@ def test_csr_is_bitwise_the_lexsort_csr():
         graphs.append(Graph._from_arrays(n, src, dst, weight,
                                          directed=k % 4 < 2,
                                          allow_loops=loops))
-    graphs += [Graph(h.n, h.src.copy(), h.dst.copy(), h.weight.copy(),
-                     h.directed, h.node_labels.copy()) for h in graphs[:]]
+    for h in graphs[:]:  # raw constructor, stored order and shuffled
+        for order in (np.arange(h.m), rng.permutation(h.m)):
+            graphs.append(Graph(h.n, h.src[order], h.dst[order],
+                                h.weight[order], h.directed,
+                                h.node_labels.copy()))
     for g in graphs:
         for transpose in (False, True):
             got = g._csr(transpose)
@@ -712,6 +714,36 @@ def test_csr_is_bitwise_the_lexsort_csr():
                 assert have.dtype == want.dtype, g
                 assert np.array_equal(have, want), g
                 assert not have.flags.writeable
+
+
+def test_raw_constructor_with_unsorted_duplicate_edges_keeps_them_all():
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(59)
+    for directed in (True, False):
+        n, m = 12, 60
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        src = np.concatenate([src, src[:9]])
+        dst = np.concatenate([dst, dst[:9]])
+        weight = rng.uniform(0.1, 3.0, src.shape[0])
+        g = Graph(n, src, dst, weight, directed, np.arange(n))
+        dense = np.zeros((n, n))
+        np.add.at(dense, (src, dst), weight)
+        if not directed:
+            loops = src == dst
+            np.add.at(dense, (dst[~loops], src[~loops]), weight[~loops])
+        x = rng.uniform(size=n)
+        for transpose in (False, True):
+            a = dense.T if transpose else dense
+            want = _lexsort_csr(g, transpose)
+            got = g._csr(transpose)
+            for k in (0, 1, 3):  # indptr, indices, rows
+                assert np.array_equal(got[k], want[k])
+            assert np.allclose((g.matvec_t if transpose else g.matvec)(x),
+                               a @ x, rtol=1e-12, atol=0.0)
+        strong = connected_components(dense, directed=True,
+                                      connection="strong")[0]
+        assert is_strongly_connected(g) == (strong == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -743,26 +775,6 @@ def test_triangle_counts_weighted_is_weighted_cube_diagonal():
     a = g.to_dense()
     assert np.allclose(triangle_counts(g), np.diag(a @ a @ a) / 2.0)
     del rng
-
-
-def test_triangle_counts_weighted_with_loops_match_dense_cube(monkeypatch):
-    rng = np.random.default_rng(53)
-    for chunk in (1 << 20, 3):
-        monkeypatch.setattr(_kernels, "_WEDGE_CHUNK", chunk)
-        for k in range(30):
-            n = int(rng.integers(1, 30))
-            m = int(rng.integers(0, 4 * n))
-            weight = rng.uniform(0.1, 3.0, m) if k % 2 else np.ones(m)
-            g = Graph._from_arrays(n, rng.integers(0, n, m),
-                                   rng.integers(0, n, m), weight,
-                                   allow_loops=True, directed=False)
-            a = g.to_dense()
-            expected = np.diag(a @ a @ a) / 2.0
-            got = triangle_counts(g)
-            if k % 2:
-                assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
-            else:  # integer walk counts are exact
-                assert np.array_equal(got, expected)
 
 
 def test_triangle_counts_rejects_directed():
