@@ -187,22 +187,28 @@ def _load_graph(args) -> Graph:
     return g
 
 
+def _preference_column(lines: list[str]) -> np.ndarray:
+    cols = _loadtxt(lines, np.float64)
+    if cols.shape[1] != 1:
+        raise ValueError(f"expected 1 column, got {cols.shape[1]}")
+    return cols[:, 0]
+
+
 def _load_preference(spec: str, n: int) -> np.ndarray | None:
+    """The weights of a preference file, one number per non-blank line in
+    the loaders' grammar (:mod:`walkrank.graph`), rescaled to sum 1."""
     if spec == "uniform":
         return None
-    values: list[float] = []
-    with open(spec, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            token = raw.strip()
-            if not token:
-                continue
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise ValidationError(
-                    f"{spec}:{lineno}: preference weight must be a number, "
-                    f"got {token!r}") from None
-    v = np.asarray(values, dtype=np.float64)
+    lines = _read_lines(spec, ())
+    v = np.empty(0)
+    if lines.text:
+        try:
+            v = _preference_column(lines.text)
+        except ValueError:
+            at = _first_rejected(lines.text, _preference_column)
+            raise ValidationError(
+                f"{spec}:{lines.number[at]}: preference weight must be a "
+                f"number, got {lines.text[at]!r}") from None
     if v.shape[0] != n:
         raise ValidationError(
             f"preference file has {v.shape[0]} entries for a graph with "
@@ -355,8 +361,7 @@ def cmd_demo_pagerank(args) -> int:
                       for u, v, _ in g.edge_tuples()))
     print()
     print("H (column j spreads node j's mass over its out-neighbors):")
-    h_dense = np.zeros((n, n))
-    h_dense[model.h_rows, model.h_indices] = model.h_data
+    h_dense = g.to_dense().T * model.inv_out
     for i in range(n):
         cells = []
         for j in range(n):

@@ -20,19 +20,48 @@ __all__ = [
 ]
 
 
+_PAIR_BLOCK = 1 << 20  # candidate pairs drawn per block
+
+
+def _random_pairs(rng: np.random.Generator, n: int, p: float,
+                  directed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the node pairs that pass an independent ``p`` draw each.
+
+    Pairs ``(i, j)``, ``j > i`` (undirected) or ``j != i`` (directed), are
+    drawn in row-major order, a block of rows at a time, so that memory is
+    O(block + accepted pairs) rather than O(n**2). The ``rng`` stream is
+    used as by one ``rng.random`` call over all pairs in that order.
+    """
+    ii = [np.empty(0, dtype=np.int64)]
+    jj = [np.empty(0, dtype=np.int64)]
+    step = max(1, _PAIR_BLOCK // n)
+    for r0 in range(0, n, step):
+        rows = np.arange(r0, min(r0 + step, n), dtype=np.int64)
+        lengths = np.full(rows.shape[0], n - 1) if directed else n - 1 - rows
+        starts = np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        if total == 0:
+            continue
+        k = np.flatnonzero(rng.random(total) < p)
+        at = np.searchsorted(starts, k, side="right") - 1
+        i = rows[at]
+        j = k - starts[at]
+        # the column is the offset past the diagonal (undirected) or with
+        # the diagonal skipped (directed)
+        j += (j >= i) if directed else i + 1
+        ii.append(i)
+        jj.append(j)
+    return np.concatenate(ii), np.concatenate(jj)
+
+
 def erdos_renyi(n: int, p: float, seed: int, *, directed: bool = False) -> Graph:
     """G(n, p) with independent edge draws; reproducible for a fixed seed."""
     if n < 1:
         raise ValidationError("erdos_renyi requires n >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
-    if directed:
-        ii, jj = np.where(~np.eye(n, dtype=bool))
-    else:
-        ii, jj = np.triu_indices(n, k=1)
-    mask = rng.random(ii.shape[0]) < p
-    return Graph._from_arrays(n, ii[mask], jj[mask], np.ones(mask.sum()),
+    ii, jj = _random_pairs(np.random.default_rng(seed), n, p, directed)
+    return Graph._from_arrays(n, ii, jj, np.ones(ii.shape[0]),
                               directed=directed)
 
 
@@ -78,10 +107,9 @@ def strongly_connected_digraph(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    ii, jj = np.where(~np.eye(n, dtype=bool))
-    mask = rng.random(ii.shape[0]) < p
+    ii, jj = _random_pairs(rng, n, p, directed=True)
     perm = rng.permutation(n)
-    pairs = np.unique(np.concatenate([ii[mask] * n + jj[mask],
+    pairs = np.unique(np.concatenate([ii * n + jj,
                                       perm * n + np.roll(perm, -1)]))
     g = Graph._from_arrays(n, pairs // n, pairs % n, np.ones(pairs.shape[0]),
                            directed=True)

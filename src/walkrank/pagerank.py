@@ -45,30 +45,30 @@ ALPHA_CAP = 0.999  # values of alpha closer to 1 are numerically treacherous
 
 @dataclass(frozen=True)
 class GoogleModel:
-    """Immutable matvec-oriented representation of ``P``."""
+    """Immutable matvec-oriented representation of ``P``.
 
-    n: int
+    ``H`` and ``H^T`` are the graph's own operator scaled by ``inv_out``:
+    ``H x = A^T (D^{-1} x)`` and ``H^T x = D^{-1} (A x)``. The model keeps
+    no CSR arrays of its own, and building it builds none.
+    """
+
+    graph: Graph
     alpha: float
     preference: np.ndarray  # v, entrywise >= 0, sums to 1
     dangling: np.ndarray  # indicator a, 1.0 at nodes without out-edges
-    h_indptr: np.ndarray  # CSR of H: the graph's cached A^T structure
-    h_indices: np.ndarray
-    h_data: np.ndarray
-    h_rows: np.ndarray  # row of each entry, cached on the graph too
-    ht_indptr: np.ndarray  # CSR of H^T: the graph's cached A structure
-    ht_indices: np.ndarray
-    ht_data: np.ndarray
-    ht_rows: np.ndarray
+    inv_out: np.ndarray  # 1 / out-degree, 1.0 at dangling nodes
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
     def h_matvec(self, x: np.ndarray) -> np.ndarray:
         """``H @ x``."""
-        return _kernels.csr_matvec(self.h_indptr, self.h_indices,
-                                   self.h_data, x, self.h_rows)
+        return self.graph.matvec_t(x * self.inv_out)
 
     def ht_matvec(self, x: np.ndarray) -> np.ndarray:
         """``H.T @ x``."""
-        return _kernels.csr_matvec(self.ht_indptr, self.ht_indices,
-                                   self.ht_data, x, self.ht_rows)
+        return self.graph.matvec(x) * self.inv_out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``P @ x`` without forming ``P``."""
@@ -124,21 +124,12 @@ def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
 
     out, _ = degrees(g)
     dangling = (out == 0.0).astype(np.float64)
-    denom = np.where(out == 0.0, 1.0, out)
-
-    # H^T = D^{-1} A and H = A^T D^{-1} share the graph's CSR structures
-    # (read-only, cached on the graph) with data scaled by the source node
-    a_indptr, a_indices, a_data, a_rows = g._csr()
-    ht_data = a_data / denom[a_rows]
-    h_indptr, h_indices, at_data, h_rows = g._csr(transpose=True)
-    h_data = at_data / denom[h_indices]
-
-    model = GoogleModel(n, float(alpha), v, dangling,
-                        h_indptr, h_indices, h_data, h_rows,
-                        a_indptr, a_indices, ht_data, a_rows)
-    for arr in (v, dangling, h_data, ht_data):
+    # products multiply by the stored reciprocal, never divide by the
+    # degree: an unweighted column of H then holds exactly 1/d
+    inv_out = 1.0 / np.where(out == 0.0, 1.0, out)
+    for arr in (v, dangling, inv_out):
         arr.setflags(write=False)
-    return model
+    return GoogleModel(g, float(alpha), v, dangling, inv_out)
 
 
 def pagerank_power(model: GoogleModel, *, tol: float = DEFAULT_TOL,
@@ -174,9 +165,10 @@ def pagerank_linear(model: GoogleModel, *, tol: float = DEFAULT_TOL,
     nodes.
     """
     _check_tol(tol)
-    x, _, diff = _kernels.neumann(model.h_indptr, model.h_indices,
-                                  model.h_data, model.preference,
-                                  model.alpha, tol, max_iter)
+    indptr, indices, data = model.graph.adjacency_t()
+    x, _, diff = _kernels.neumann(indptr, indices,
+                                  data * model.inv_out[indices],
+                                  model.preference, model.alpha, tol, max_iter)
     if diff > tol * float(np.abs(x).sum()):
         raise ConvergenceError(
             f"Neumann iteration did not reach tol={tol} within {max_iter} "
@@ -194,11 +186,7 @@ def small_alpha_limit(g: Graph) -> np.ndarray:
     if g.n == 0:
         raise ValidationError("PageRank needs at least one node")
     out, _ = degrees(g)
-    denom = np.where(out == 0.0, 1.0, out)
-    _, indices, data, rows = g._csr()
-    rowsums = np.zeros(g.n)
-    np.add.at(rowsums, indices, data / denom[rows])
-    return rowsums
+    return g.matvec_t(1.0 / np.where(out == 0.0, 1.0, out))
 
 
 def heat_kernel_rowsums(model: GoogleModel, t: float,

@@ -189,7 +189,8 @@ class SweepResult:
     ``isim_to_degree`` / ``isim_to_eigenvector`` compare each grid point's
     ranking against the measure's two limiting references, aligned modulo
     reference ties; ``isim_successive[i]`` compares point ``i`` with point
-    ``i-1`` (NaN at the first point).
+    ``i-1`` (NaN at the first point). ``side`` is the side of the scores
+    computed at the grid points, as ``compute`` reports it.
     """
 
     measure: str
@@ -299,8 +300,8 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
     isim_eig = np.empty(grid.shape[0])
     isim_succ = np.full(grid.shape[0], np.nan)
     for i, t in enumerate(grid):
-        scores = spec.compute(g, float(t), side=side, tol=tol).scores
-        r = rank(scores, tie_tol=tie_tol)
+        cv = spec.compute(g, float(t), side=side, tol=tol)
+        r = rank(cv.scores, tie_tol=tie_tol)
         rankings.append(r)
         isim_deg[i] = intersection_distance(
             r.order, _align_to(ref_degree, r.order), k)
@@ -312,7 +313,7 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
 
     return SweepResult(
         measure=measure,
-        side="symmetric" if not g.directed else side,
+        side=cv.side,
         parameters=grid,
         isim_to_degree=isim_deg,
         isim_to_eigenvector=isim_eig,

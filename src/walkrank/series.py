@@ -302,32 +302,6 @@ def dense_limit() -> int:
             f"CENTRALITY_DENSE_LIMIT must be an integer, got {raw!r}") from None
 
 
-def _scalar_series(f: SeriesFunction, xs: np.ndarray, tol: float,
-                   max_terms: int) -> np.ndarray:
-    """Evaluate the scalar series elementwise over ``xs`` (|x| < radius)."""
-    acc = np.full(xs.shape, f.coefficient(0), dtype=np.float64)
-    term = acc.copy()
-    consecutive_small = 0
-    k = 0
-    while True:
-        if k >= max_terms:
-            rho = f.term_ratio(k) * float(np.abs(xs).max(initial=0.0))
-            tail = (float(np.abs(term).sum()) * rho / (1.0 - rho)
-                    if rho < 1.0 else math.inf)
-            raise TruncationError(
-                f"scalar series did not converge within {max_terms} terms; "
-                f"estimated neglected tail {tail:.3e}", best=acc, bound=tail)
-        term = term * (f.term_ratio(k) * xs)
-        k += 1
-        acc += term
-        if float(np.abs(term).sum()) <= tol * float(np.abs(acc).sum()):
-            consecutive_small += 1
-            if consecutive_small >= 2:
-                return acc
-        else:
-            consecutive_small = 0
-
-
 def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
                 *, tol: float = DEFAULT_TOL,
                 max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
@@ -377,7 +351,9 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
     if f.kind == "resolvent":
         vals = 1.0 / (1.0 - x)
     else:
-        vals = _scalar_series(f, x, tol, max_terms)
+        vals, _ = _series_action(lambda term: x * term, f, 1.0,
+                                 np.ones(g.n), tol, max_terms,
+                                 rho_hint=float(np.abs(x).max()))
     return w @ vals
 
 

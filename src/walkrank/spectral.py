@@ -45,8 +45,7 @@ class SpectralInfo:
     """Result of a dominant-eigenpair computation.
 
     ``dominant_vector`` is entrywise positive with unit 2-norm, and
-    read-only. ``lambda2`` is the signed algebraic second eigenvalue when it
-    has been computed (undirected graphs only), else ``None``.
+    read-only.
     """
 
     lambda1: float
@@ -54,18 +53,9 @@ class SpectralInfo:
     side: str  # "right" or "left"
     iterations: int
     residual: float
-    lambda2: float | None = None
 
     def __post_init__(self):
         self.dominant_vector.setflags(write=False)
-
-    @property
-    def lambda2_abs(self) -> float | None:
-        return None if self.lambda2 is None else abs(self.lambda2)
-
-    @property
-    def gap(self) -> float | None:
-        return None if self.lambda2 is None else self.lambda1 - self.lambda2
 
 
 def _check_tol(tol: float) -> None:

@@ -223,3 +223,28 @@ def oracle_matrix_market(text):
     directed = symmetry == "general"
     n, src, dst, weight = _canonical_graph(n, entries, directed)
     return n, src, dst, weight, [i + 1 for i in range(n)], directed
+
+
+def one_shot_erdos_renyi(n, p, seed, directed=False):
+    """Sorted ``(src, dst)`` of a seeded G(n, p): one uniform draw per
+    candidate pair, all pairs listed at once in row-major order."""
+    rng = np.random.default_rng(seed)
+    if directed:
+        ii, jj = np.where(~np.eye(n, dtype=bool))
+    else:
+        ii, jj = np.triu_indices(n, k=1)
+    mask = rng.random(ii.shape[0]) < p
+    return ii[mask], jj[mask]
+
+
+def one_shot_strongly_connected_digraph(n, p, seed):
+    """Sorted ``(src, dst)`` of a seeded directed G(n, p) with a cycle
+    through a random permutation laid over it, drawn as in
+    :func:`one_shot_erdos_renyi`."""
+    rng = np.random.default_rng(seed)
+    ii, jj = np.where(~np.eye(n, dtype=bool))
+    mask = rng.random(ii.shape[0]) < p
+    perm = rng.permutation(n)
+    pairs = np.unique(np.concatenate([ii[mask] * n + jj[mask],
+                                      perm * n + np.roll(perm, -1)]))
+    return pairs // n, pairs % n

@@ -149,6 +149,19 @@ def test_compute_preference_file_rejects_non_number(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "0.5 0.5"])
+def test_compute_preference_file_uses_the_loaders_grammar(capsys, tmp_path,
+                                                          token):
+    pref = tmp_path / "pref.txt"
+    pref.write_text(f"1\n1\n\n{token}\n1\n1\n1\n")
+    code, _, err = run(capsys, "compute", "--input", "builtin:six-node",
+                       "--measure", "pagerank", "--preference", str(pref))
+    assert code == 2
+    assert (f"{pref}:4: preference weight must be a number, got {token!r}"
+            in err)
+    assert "Traceback" not in err
+
+
 def test_compute_writes_output_file(capsys, tmp_path, k3_file):
     out_path = tmp_path / "scores.csv"
     code, out, _ = run(capsys, "compute", "--input", k3_file,
@@ -359,6 +372,29 @@ def test_sweep_pagerank_six_node(capsys):
     assert code == 0
     first_row = [l for l in out.strip().split("\n") if l[0].isdigit()][0]
     assert float(first_row.split(",")[1]) == 0.0  # H1 ranking at tiny alpha
+
+
+def test_sweep_side_is_the_side_compute_reports(capsys, tmp_path):
+    from walkrank.generators import strongly_connected_digraph
+    from walkrank.graph import dump_edge_list
+    from walkrank.measures import MEASURES, SWEEPABLE
+
+    digraph = tmp_path / "digraph.txt"
+    dump_edge_list(strongly_connected_digraph(12, 0.3, 9), str(digraph))
+    for graph in (("--input", str(digraph), "--directed"),
+                  ("--input", "builtin:karate")):
+        for measure in SWEEPABLE:
+            if MEASURES[measure].diagonal and "--directed" in graph:
+                continue
+            for side in ("broadcast", "receive"):
+                argv = (*graph, "--measure", measure, "--side", side,
+                        "--json")
+                code, out, _ = run(capsys, "compute", *argv)
+                assert code == 0
+                computed = json.loads(out)["side"]
+                code, out, _ = run(capsys, "sweep", *argv)
+                assert code == 0
+                assert json.loads(out)["sweep"]["side"] == computed, argv
 
 
 # ---------------------------------------------------------------------------

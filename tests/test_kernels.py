@@ -9,7 +9,12 @@ from walkrank.measures import (
     katz,
     total_communicability,
 )
-from walkrank.pagerank import build_model, pagerank_power, small_alpha_limit
+from walkrank.pagerank import (
+    build_model,
+    heat_kernel_rowsums,
+    pagerank_power,
+    small_alpha_limit,
+)
 from walkrank.ranking import limit_sweep
 
 
@@ -114,27 +119,62 @@ def operator_graphs():
 
 
 def test_graph_and_model_matvecs_are_bitwise_unchanged():
+    """The graph's products against an explicit CSR sum, bitwise; ``H x``
+    and ``H 1`` against the formulas of a model that stored ``H`` as the
+    transposed CSR with data divided by the source's out-degree: bitwise on
+    unweighted graphs, within 1e-15 relative on weighted ones."""
     rng = np.random.default_rng(42)
     for g in operator_graphs():
         x = rng.standard_normal(g.n)
-        model = build_model(g, 0.85)
-        for got, csr in ((g.matvec(x), g.adjacency()),
-                         (g.matvec_t(x), g.adjacency_t()),
-                         (model.h_matvec(x), (model.h_indptr,
-                                              model.h_indices,
-                                              model.h_data)),
-                         (model.ht_matvec(x), (model.ht_indptr,
-                                               model.ht_indices,
-                                               model.ht_data))):
-            assert np.array_equal(got, reference_matvec(*csr, x)), g
+        assert np.array_equal(g.matvec(x), reference_matvec(*g.adjacency(), x))
+        assert np.array_equal(g.matvec_t(x),
+                              reference_matvec(*g.adjacency_t(), x))
 
+        model = build_model(g, 0.85)
         out, _ = degrees(g)
+        denom = np.where(out == 0.0, 1.0, out)
+        indptr_t, indices_t, data_t = g.adjacency_t()
+        h_data = data_t / denom[indices_t]
+        expected_hx = reference_matvec(indptr_t, indices_t, h_data, x)
         indptr, indices, data = g.adjacency()
         rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
-        expected = np.zeros(g.n)
-        np.add.at(expected, indices, data / np.where(out == 0.0, 1.0,
-                                                     out)[rows])
-        assert np.array_equal(small_alpha_limit(g), expected), g
+        expected_h1 = np.zeros(g.n)
+        np.add.at(expected_h1, indices, data / denom[rows])
+        if g.weighted:
+            # |H| |x| bounds the rounding of each sum in either form
+            scale = reference_matvec(indptr_t, indices_t, h_data, np.abs(x))
+            assert np.all(np.abs(model.h_matvec(x) - expected_hx)
+                          <= 1e-15 * scale), g
+            assert np.allclose(small_alpha_limit(g), expected_h1,
+                               rtol=1e-15, atol=0.0), g
+        else:
+            assert np.array_equal(model.h_matvec(x), expected_hx), g
+            assert np.array_equal(small_alpha_limit(g), expected_h1), g
+
+        dense_h = g.to_dense().T / denom
+        assert np.allclose(model.ht_matvec(x), dense_h.T @ x,
+                           rtol=1e-12, atol=1e-12), g
+
+
+def test_build_model_builds_no_csr_and_pagerank_only_the_transposed_side(
+        monkeypatch):
+    builds = []
+    build_csr = Graph._build_csr
+
+    def counting_build(self, transpose):
+        builds.append(transpose)
+        return build_csr(self, transpose)
+
+    monkeypatch.setattr(Graph, "_build_csr", counting_build)
+    h = strongly_connected_digraph(40, 0.1, 7)
+    for run, sides in ((build_model, []),
+                       (lambda g: pagerank_power(build_model(g)), [True]),
+                       (lambda g: heat_kernel_rowsums(build_model(g), 2.0),
+                        [True]),
+                       (lambda g: limit_sweep(g, "pagerank"), [True])):
+        builds.clear()
+        run(Graph(h.n, h.src, h.dst, h.weight, h.directed, h.node_labels))
+        assert builds == sides
 
 
 def test_row_index_is_built_once_per_side_and_reaches_every_matvec(

@@ -32,12 +32,15 @@ from oracles import dense_google, dense_pagerank
 # model assembly
 # ---------------------------------------------------------------------------
 
+def columns(matvec, n):
+    """The matrix behind ``matvec``, read one column at a time."""
+    return np.column_stack([matvec(e) for e in np.eye(n)])
+
+
 def test_model_h_matches_hand_computed_rationals():
     g = six_node_digraph()
     model = build_model(g, 0.85)
-    h = np.zeros((6, 6))
-    rows = np.repeat(np.arange(6), np.diff(model.h_indptr))
-    h[rows, model.h_indices] = model.h_data
+    h = columns(model.h_matvec, 6)
     # column j of H spreads node j's unit mass across its out-neighbors
     expected = np.zeros((6, 6))
     out_neighbors = {0: [1, 2], 2: [0, 1, 4], 3: [4, 5], 4: [3, 5], 5: [3]}
@@ -45,6 +48,8 @@ def test_model_h_matches_hand_computed_rationals():
         for i in targets:
             expected[i, j] = 1.0 / len(targets)
     assert np.array_equal(h, expected)
+    a = g.to_dense()
+    assert np.array_equal(h, a.T / np.maximum(a.sum(axis=1), 1.0))
     assert list(model.dangling) == [0, 1, 0, 0, 0, 0]
 
 
@@ -57,22 +62,21 @@ def test_model_h_shares_the_graph_transposed_csr():
                  for u, v in rng.integers(0, n, size=(2 * n, 2))]
         g = Graph.from_edges(n, edges, directed=directed, allow_loops=True)
         model = build_model(g, 0.85)
-        indptr_t, indices_t, _ = g.adjacency_t()
-        assert model.h_indptr is indptr_t and model.h_indices is indices_t
-        assert model.h_rows is g._csr(transpose=True)[3]
-        assert model.ht_rows is g._csr()[3]
+        assert model.graph is g and model.n == n
         a = g.to_dense()
         out = a.sum(axis=1)
         expected_h = a.T / np.where(out == 0.0, 1.0, out)
-        h = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), np.diff(model.h_indptr))
-        assert np.array_equal(model.h_rows, rows)
-        h[rows, model.h_indices] = model.h_data
-        assert np.allclose(h, expected_h, rtol=1e-15, atol=0.0)
+        assert np.allclose(columns(model.h_matvec, n), expected_h,
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(columns(model.ht_matvec, n), expected_h.T,
+                           rtol=1e-15, atol=0.0)
+        x = rng.standard_normal(n)
+        assert np.allclose(model.ht_matvec(x), expected_h.T @ x,
+                           rtol=1e-12, atol=1e-12)
         assert np.array_equal(model.dangling, (out == 0.0).astype(float))
-        for name in ("preference", "dangling", "h_indptr", "h_indices",
-                     "h_data", "h_rows", "ht_indptr", "ht_indices",
-                     "ht_data", "ht_rows"):
+        assert np.array_equal(model.inv_out,
+                              1.0 / np.where(out == 0.0, 1.0, out))
+        for name in ("preference", "dangling", "inv_out"):
             assert not getattr(model, name).flags.writeable, name
         for arr in (*g._csr(), *g._csr(transpose=True)):
             assert not arr.flags.writeable

@@ -374,6 +374,19 @@ def test_custom_series_function():
         apply_series(g, geometric_half, 1.0, np.ones(3))
 
 
+def test_custom_series_at_max_terms_in_fa_diagonal_reports_its_tail():
+    geometric_half = SeriesFunction(
+        kind="geometric-half",
+        coefficient=lambda k: 0.5 ** k,
+        radius=2.0,
+        class_tag="divergent_at_radius",
+    )
+    with pytest.raises(TruncationError) as info:
+        fa_diagonal(k3(), geometric_half, 0.5, max_terms=3)
+    assert info.value.bound is not None and math.isfinite(info.value.bound)
+    assert info.value.bound > 0.0
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
 def test_parameter_outside_its_range_is_named(value):
     g = k3()
