@@ -53,7 +53,9 @@ from .graph import (
 )
 from .measures import MEASURES, SWEEPABLE
 from .pagerank import build_model, pagerank_power, small_alpha_limit
-from .ranking import convergence_report, intersection_distance, limit_sweep, rank
+from .ranking import (_resolve_depth, convergence_report,
+                      intersection_distance, limit_sweep, rank)
+from .spectral import DEFAULT_TOL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--preference", default="uniform",
                     help="PageRank preference: 'uniform' or a file with one "
                          "weight per line")
-    pc.add_argument("--tol", type=float, default=1e-10)
+    pc.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pc.add_argument("--out", help="write output here instead of stdout")
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_compute)
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "family-specific grid inside the feasible interval)")
     ps.add_argument("--k", type=int,
                     help="intersection-distance depth (default: all nodes)")
-    ps.add_argument("--tol", type=float, default=1e-10)
+    ps.add_argument("--tol", type=float, default=DEFAULT_TOL)
     ps.add_argument("--out",
                     help="write the sweep CSV here (report still goes to "
                          "stdout)")
@@ -247,6 +249,13 @@ def _parameter(args, spec):
     return spec.default if value is None else value
 
 
+def _note_side(g: Graph, args, side: str) -> None:
+    """Note on stderr that a directed graph's measure ignored ``--side``."""
+    if g.directed and side != args.side:
+        print(f"note: --side {args.side} ignored: {args.measure} scores the "
+              f"{side} side only", file=sys.stderr)
+
+
 def cmd_compute(args) -> int:
     spec = MEASURES[args.measure]
     g = _load_graph(args)
@@ -255,6 +264,7 @@ def cmd_compute(args) -> int:
     v = _load_preference(args.preference, g.n) if pagerank else None
     cv = spec.compute(g, t, side=args.side, tol=args.tol, preference=v,
                       damping=args.alpha)
+    _note_side(g, args, cv.side)
 
     order = rank(cv.scores).order
     rows = list(zip(g.node_labels[order].tolist(),
@@ -289,6 +299,7 @@ def cmd_sweep(args) -> int:
             ) from None
     sweep = limit_sweep(g, args.measure, side=args.side, grid=grid,
                         k=args.k, tol=args.tol)
+    _note_side(g, args, sweep.side)
     report = convergence_report(sweep)
     if args.json:
         payload = {"sweep": sweep.to_json_dict(),
@@ -343,8 +354,8 @@ def cmd_compare(args) -> int:
     order_b = nodes_b[rank(scores_b).order]
     value = intersection_distance(order_a, order_b, args.k)
     if args.json:
-        k = args.k if args.k is not None else len(order_a)
-        print(json.dumps({"isim": value, "k": k}))
+        print(json.dumps({"isim": value,
+                          "k": _resolve_depth(args.k, len(order_a))}))
     else:
         print(f"{value:.12g}")
     return 0

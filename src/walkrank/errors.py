@@ -34,7 +34,8 @@ class ValidationError(WalkrankError):
 class DomainError(ValidationError):
     """A numeric parameter lies outside its feasible domain.
 
-    The message names the violated bound (e.g. ``alpha must be < 1/lambda1``).
+    The message names the parameter and the violated bound (e.g. ``alpha
+    must lie in [0, t_star) with t_star = 1/lambda1 = ...``).
     """
 
 

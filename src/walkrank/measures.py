@@ -80,18 +80,20 @@ class CentralityVector:
         self.scores.setflags(write=False)
 
 
-def _resolve_side(g: Graph, side: str) -> str:
+def _resolve_side(g: Graph, side: str) -> tuple[str, bool]:
+    """The side label a result reports, and whether the measure reads
+    ``A.T``: only the receive side of a directed graph does."""
     if side not in ("broadcast", "receive"):
         raise ValidationError(
             f"side must be 'broadcast' or 'receive', got {side!r}")
-    return side if g.directed else "symmetric"
+    return (side, side == "receive") if g.directed else ("symmetric", False)
 
 
 def degree_centrality(g: Graph, *, side: str = "broadcast") -> CentralityVector:
     """Weighted out-degree (broadcast) or in-degree (receive)."""
-    resolved = _resolve_side(g, side)
+    resolved, transpose = _resolve_side(g, side)
     out, in_ = degrees(g)
-    scores = out if (resolved == "symmetric" or side == "broadcast") else in_
+    scores = in_ if transpose else out
     return CentralityVector("degree", resolved, None, scores.copy())
 
 
@@ -100,9 +102,9 @@ def eigenvector_centrality(g: Graph, *, side: str = "broadcast",
                            max_iter: int = DEFAULT_MAX_ITER) -> CentralityVector:
     """Entries of the dominant eigenvector (right for broadcast, left for
     receive), normalized to unit 2-norm."""
-    resolved = _resolve_side(g, side)
-    which = "right" if (resolved == "symmetric" or side == "broadcast") else "left"
-    info = dominant_eigenpair(g, side=which, tol=tol, max_iter=max_iter)
+    resolved, transpose = _resolve_side(g, side)
+    info = dominant_eigenpair(g, side="left" if transpose else "right",
+                              tol=tol, max_iter=max_iter)
     meta = {"lambda1": info.lambda1, "iterations": info.iterations,
             "residual": info.residual}
     return CentralityVector("eigenvector", resolved, None,
@@ -116,15 +118,15 @@ def katz(g: Graph, alpha: float | None = None, *, side: str = "broadcast",
     ``alpha`` defaults to ``0.85 / lambda1`` and must stay below
     ``1 / lambda1``.
     """
-    resolved = _resolve_side(g, side)
+    resolved, transpose = _resolve_side(g, side)
     info = dominant_eigenpair(g, tol=tol)
     if alpha is None:
         alpha = DEFAULT_ALPHA_FRACTION / info.lambda1
-    transpose = g.directed and side == "receive"
     ones = np.ones(g.n)
     scores = resolvent_solve(g, alpha, ones, tol=tol, transpose=transpose,
                              lambda1=info.lambda1)
-    meta = {"lambda1": info.lambda1, "alpha_max": 1.0 / info.lambda1}
+    meta = {"lambda1": info.lambda1,
+            "alpha_max": feasible_interval(RESOLVENT, info.lambda1)[1]}
     return CentralityVector("katz", resolved, float(alpha), scores, meta)
 
 
@@ -135,7 +137,8 @@ def resolvent_subgraph(g: Graph, alpha: float | None = None,
     if alpha is None:
         alpha = DEFAULT_ALPHA_FRACTION / info.lambda1
     scores = fa_diagonal(g, RESOLVENT, alpha, tol=tol)
-    meta = {"lambda1": info.lambda1, "alpha_max": 1.0 / info.lambda1}
+    meta = {"lambda1": info.lambda1,
+            "alpha_max": feasible_interval(RESOLVENT, info.lambda1)[1]}
     return CentralityVector("resolvent-subgraph", "symmetric", float(alpha),
                             scores, meta)
 
@@ -151,8 +154,7 @@ def total_communicability(g: Graph, beta: float = DEFAULT_BETA,
                           *, side: str = "broadcast",
                           tol: float = DEFAULT_TOL) -> CentralityVector:
     """Row sums ``exp(beta A) 1`` (broadcast) or column sums (receive)."""
-    resolved = _resolve_side(g, side)
-    transpose = g.directed and side == "receive"
+    resolved, transpose = _resolve_side(g, side)
     scores = exp_action(g, beta, np.ones(g.n), tol=tol, transpose=transpose)
     return CentralityVector("total-communicability", resolved, float(beta),
                             scores)
@@ -200,11 +202,10 @@ def hits(g: Graph, *, tol: float = DEFAULT_TOL,
             f"HITS did not reach tol={tol} within {max_iter} iterations "
             f"(last residual {residual:.3e})", best=(h, a), residual=residual)
     meta = {"sigma": sigma, "iterations": it, "residual": residual}
-    hub_side = "symmetric" if not g.directed else "broadcast"
-    auth_side = "symmetric" if not g.directed else "receive"
-    hubs = CentralityVector("hits-hub", hub_side, None, h, dict(meta))
-    authorities = CentralityVector("hits-authority", auth_side, None, a,
-                                   dict(meta))
+    hubs = CentralityVector("hits-hub", _resolve_side(g, "broadcast")[0],
+                            None, h, dict(meta))
+    authorities = CentralityVector(
+        "hits-authority", _resolve_side(g, "receive")[0], None, a, dict(meta))
     return hubs, authorities
 
 
@@ -297,8 +298,9 @@ class Measure:
 # so replacing that name (e.g. with a tracing wrapper) reaches every caller.
 
 def _hits(g, t, side, tol, **_):
+    _, authority = _resolve_side(g, side)
     hubs, authorities = hits(g, tol=tol)
-    return authorities if (g.directed and side == "receive") else hubs
+    return authorities if authority else hubs
 
 
 def _pagerank(g, alpha, side, tol, preference=None, **_):

@@ -26,8 +26,8 @@ import numpy as np
 from . import _kernels
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graph import Graph, degrees
-from .series import DEFAULT_MAX_TERMS, _scaled_taylor
-from .spectral import _check_tol
+from .series import DEFAULT_MAX_TERMS, _check_parameter, _scaled_taylor
+from .spectral import DEFAULT_TOL, _check_tol
 
 __all__ = [
     "GoogleModel",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.85
-DEFAULT_TOL = 1e-10
 ALPHA_CAP = 0.999  # values of alpha closer to 1 are numerically treacherous
 
 
@@ -85,6 +84,13 @@ class GoogleModel:
         return y
 
 
+def _inv_out(out: np.ndarray) -> np.ndarray:
+    """``1 / out-degree``, 1.0 at dangling nodes. Products multiply by it,
+    never divide by the degree: an unweighted column of ``H`` then holds
+    exactly ``1/d``."""
+    return 1.0 / np.where(out == 0.0, 1.0, out)
+
+
 def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
                 preference=None) -> GoogleModel:
     """Assemble the Google matrix model for a graph.
@@ -124,9 +130,7 @@ def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
 
     out, _ = degrees(g)
     dangling = (out == 0.0).astype(np.float64)
-    # products multiply by the stored reciprocal, never divide by the
-    # degree: an unweighted column of H then holds exactly 1/d
-    inv_out = 1.0 / np.where(out == 0.0, 1.0, out)
+    inv_out = _inv_out(out)
     for arr in (v, dangling, inv_out):
         arr.setflags(write=False)
     return GoogleModel(g, float(alpha), v, dangling, inv_out)
@@ -185,8 +189,7 @@ def small_alpha_limit(g: Graph) -> np.ndarray:
     """
     if g.n == 0:
         raise ValidationError("PageRank needs at least one node")
-    out, _ = degrees(g)
-    return g.matvec_t(1.0 / np.where(out == 0.0, 1.0, out))
+    return g.matvec_t(_inv_out(degrees(g).out_degree))
 
 
 def heat_kernel_rowsums(model: GoogleModel, t: float,
@@ -201,8 +204,7 @@ def heat_kernel_rowsums(model: GoogleModel, t: float,
     if np.any(model.preference <= 0.0):
         raise ValidationError(
             "heat kernel requires a strictly positive preference vector")
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"t must be finite and non-negative, got {t}")
+    _check_parameter("t", t)
     _check_tol(tol)
     if t > 700.0:
         raise DomainError(

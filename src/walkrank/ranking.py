@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedOperationError, ValidationError
 from .graph import Graph
-from .measures import MEASURES, SWEEPABLE
+from .measures import MEASURES, SWEEPABLE, _resolve_side
+from .spectral import DEFAULT_TOL
 
 __all__ = [
     "Ranking",
@@ -106,6 +107,14 @@ def _as_order(x) -> np.ndarray:
     return arr
 
 
+def _resolve_depth(k: int | None, n: int) -> int:
+    """The depth ``k``, ``n`` when it is ``None``; it must lie in ``1..n``."""
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    return k
+
+
 def intersection_distance(a, b, k: int | None = None) -> float:
     """Top-k intersection distance between two rankings.
 
@@ -130,10 +139,7 @@ def intersection_distance(a, b, k: int | None = None) -> float:
     later = pos.max(axis=0)
     if uniq.shape[0] != n or np.any(later == n):
         raise ValidationError("rankings must cover the same set of node ids")
-    if k is None:
-        k = n
-    if not (1 <= k <= n):
-        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    k = _resolve_depth(k, n)
 
     overlap = np.cumsum(np.bincount(later, minlength=n)[:k])
     terms = 1.0 - overlap / np.arange(1.0, k + 1.0)
@@ -239,7 +245,7 @@ class SweepResult:
 
 
 def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
-                grid=None, k: int | None = None, tol: float = 1e-10,
+                grid=None, k: int | None = None, tol: float = DEFAULT_TOL,
                 tie_tol: float = DEFAULT_TIE_TOL) -> SweepResult:
     """Trace a measure's ranking across its feasible parameter interval.
 
@@ -263,15 +269,12 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
         raise ValidationError(
             f"measure must be one of {', '.join(SWEEPABLE)}; "
             f"got {measure!r}")
-    if side not in ("broadcast", "receive"):
-        raise ValidationError(
-            f"side must be 'broadcast' or 'receive', got {side!r}")
+    _, receive = _resolve_side(g, side)
     if spec.diagonal and g.directed:
         raise UnsupportedOperationError(
             f"{measure} is a walk-return diagonal and needs an undirected "
             "graph")
 
-    receive = g.directed and side == "receive"
     t_star, deg_scores, eig_scores = spec.sweep.limits(g, receive, tol)
 
     if grid is None:
@@ -287,10 +290,7 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
             f"grid points must lie inside the feasible interval "
             f"(0, {t_star:.12g}); got [{grid[0]:.12g}, {grid[-1]:.12g}]")
 
-    if k is None:
-        k = g.n
-    if not (1 <= k <= g.n):
-        raise ValidationError(f"k must lie in 1..{g.n}, got {k}")
+    k = _resolve_depth(k, g.n)
 
     ref_degree = rank(deg_scores, tie_tol=tie_tol)
     ref_eigen = rank(eig_scores, tie_tol=tie_tol)

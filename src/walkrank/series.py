@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, degrees
-from .spectral import _check_tol, dominant_eigenpair
+from .spectral import DEFAULT_TOL, _check_tol, dominant_eigenpair
 
 __all__ = [
     "SeriesFunction",
@@ -48,7 +48,6 @@ __all__ = [
     "dense_limit",
 ]
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 500_000
 DEFAULT_DENSE_LIMIT = 3000
 
@@ -61,14 +60,11 @@ class SeriesFunction:
     ``c_{k+1} / c_k`` and should be preferred for deep series where the
     coefficients themselves under- or overflow (e.g. ``1/k!``). ``radius``
     is the series' radius of convergence (``inf`` for entire functions).
-    ``class_tag`` records the qualitative behavior at the radius:
-    ``"entire"``, ``"divergent_at_radius"``, or ``"general"``.
     """
 
     kind: str
     coefficient: Callable[[int], float]
     radius: float
-    class_tag: str
     ratio: Callable[[int], float] | None = None
 
     def term_ratio(self, k: int) -> float:
@@ -87,7 +83,6 @@ EXPONENTIAL = SeriesFunction(
     kind="exponential",
     coefficient=lambda k: 1.0 / math.factorial(k) if k < 171 else 0.0,
     radius=math.inf,
-    class_tag="entire",
     ratio=lambda k: 1.0 / (k + 1.0),
 )
 
@@ -95,7 +90,6 @@ RESOLVENT = SeriesFunction(
     kind="resolvent",
     coefficient=lambda k: 1.0,
     radius=1.0,
-    class_tag="divergent_at_radius",
     ratio=lambda k: 1.0,
 )
 
@@ -112,6 +106,21 @@ def feasible_interval(f: SeriesFunction, lambda1: float) -> tuple[float, float]:
     if lambda1 == 0.0:
         return (0.0, math.inf)
     return (0.0, f.radius / lambda1)
+
+
+def _check_parameter(name: str, t: float, f: SeriesFunction | None = None,
+                     lambda1: float | None = None) -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``t`` is finite and
+    non-negative and, when ``f`` is given, below the endpoint of
+    :func:`feasible_interval` for ``f`` and ``lambda1``."""
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"{name} must be finite and non-negative, got {t}")
+    if f is not None:
+        _, t_star = feasible_interval(f, lambda1)
+        if t >= t_star:
+            raise DomainError(
+                f"{name} must lie in [0, t_star) with t_star = "
+                f"{f.radius:g}/lambda1 = {t_star:.12g}; got {name} = {t}")
 
 
 def _norm_bound(g: Graph) -> float:
@@ -185,17 +194,12 @@ def apply_series(g: Graph, f: SeriesFunction, t: float, v,
     :class:`TruncationError` with a tail-size estimate.
     """
     v = _validate_vector(g, v)
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"t must be finite and non-negative, got {t}")
+    _check_parameter("t", t)
     _check_tol(tol)
     if math.isfinite(f.radius) and t > 0.0:
         if lambda1 is None:
             lambda1 = dominant_eigenpair(g).lambda1
-        lo, t_star = feasible_interval(f, lambda1)
-        if t >= t_star:
-            raise DomainError(
-                f"t must lie in [0, t_star) with t_star = "
-                f"radius/lambda1 = {t_star:.12g}; got t = {t}")
+        _check_parameter("t", t, f, lambda1)
     matvec = g.matvec_t if transpose else g.matvec
     rho_hint = t * _norm_bound(g)
     result, _ = _series_action(matvec, f, t, v, tol, max_terms, rho_hint)
@@ -215,8 +219,7 @@ def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
     overflows float64.
     """
     v = _validate_vector(g, v)
-    if not 0.0 <= beta < math.inf:
-        raise DomainError(f"beta must be finite and non-negative, got {beta}")
+    _check_parameter("beta", beta)
     _check_tol(tol)
     if beta == 0.0 or g.m == 0:
         return v.copy()
@@ -260,22 +263,19 @@ def resolvent_solve(g: Graph, alpha: float, v, *, tol: float = DEFAULT_TOL,
                     lambda1: float | None = None) -> np.ndarray:
     """``(I - alpha A)^{-1} v`` by Neumann iteration ``x <- v + alpha A x``.
 
-    Requires ``0 <= alpha < 1/lambda1`` (the boundary ``alpha = 0`` returns
-    ``v``). Iterates until ``||x_{m+1} - x_m||_1 <= tol * ||x_{m+1}||_1``.
+    Requires ``alpha`` in the feasible interval ``[0, 1/lambda1)`` of
+    :data:`RESOLVENT`, with ``lambda1`` computed unless passed; ``alpha = 0``
+    and a graph without edges return ``v``. Iterates until
+    ``||x_{m+1} - x_m||_1 <= tol * ||x_{m+1}||_1``.
     """
     v = _validate_vector(g, v)
-    if not 0.0 <= alpha < math.inf:
-        raise DomainError(
-            f"alpha must be finite and non-negative, got {alpha}")
+    _check_parameter("alpha", alpha)
     _check_tol(tol)
     if alpha == 0.0 or g.m == 0:
         return v.copy()
     if lambda1 is None:
         lambda1 = dominant_eigenpair(g).lambda1
-    if lambda1 > 0.0 and alpha >= 1.0 / lambda1:
-        raise DomainError(
-            f"alpha must be < 1/lambda1 = {1.0 / lambda1:.12g}; "
-            f"got alpha = {alpha}")
+    _check_parameter("alpha", alpha, RESOLVENT, lambda1)
     indptr, indices, data = g.adjacency_t() if transpose else g.adjacency()
     x, iterations, diff = _kernels.neumann(indptr, indices, data, v,
                                            alpha, tol, max_iter)
@@ -329,20 +329,13 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
             f"dense eigendecomposition limited to {limit} nodes (graph has "
             f"{g.n}); raise CENTRALITY_DENSE_LIMIT or use "
             "total_communicability, which needs no dense factorization")
-    if not 0.0 <= t < math.inf:
-        name = {"exponential": "beta", "resolvent": "alpha"}.get(f.kind, "t")
-        raise DomainError(f"{name} must be finite and non-negative, got {t}")
+    name = {"exponential": "beta", "resolvent": "alpha"}.get(f.kind, "t")
+    _check_parameter(name, t)
     if g.n == 0:
         return np.zeros(0)
 
     mu, w = g.memo("eigh", lambda: _squared_eigh(g))
-    lambda1 = float(mu[-1])
-    if math.isfinite(f.radius) and t > 0.0:
-        _, t_star = feasible_interval(f, lambda1)
-        if t >= t_star:
-            raise DomainError(
-                f"t must lie in [0, t_star) with t_star = "
-                f"radius/lambda1 = {t_star:.12g}; got t = {t}")
+    _check_parameter(name, t, f, float(mu[-1]))
 
     x = t * mu
     if f.kind == "exponential":

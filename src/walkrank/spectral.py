@@ -82,8 +82,7 @@ def _require_irreducible(g: Graph) -> None:
 
 def dominant_eigenpair(g: Graph, *, side: str = "right",
                        tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER,
-                       start: np.ndarray | None = None) -> SpectralInfo:
+                       max_iter: int = DEFAULT_MAX_ITER) -> SpectralInfo:
     """Largest eigenvalue and positive unit eigenvector by power iteration.
 
     ``side="left"`` computes the left eigenpair (the right pair of ``A.T``).
@@ -91,22 +90,20 @@ def dominant_eigenpair(g: Graph, *, side: str = "right",
     if ``max_iter`` steps do not reach ``||A v - lambda1 v||_2 <= tol *
     lambda1``.
 
-    Without a ``start`` vector the pair is computed once per graph and
-    ``(side, tol, max_iter)`` (see :meth:`Graph.memo`), and every such call
-    returns the same :class:`SpectralInfo`; its ``dominant_vector`` is
-    read-only. A call that raises stores nothing.
+    The iteration starts from the uniform unit vector. The pair is computed
+    once per graph and ``(side, tol, max_iter)`` (see :meth:`Graph.memo`),
+    and every such call returns the same :class:`SpectralInfo`; its
+    ``dominant_vector`` is read-only. A call that raises stores nothing.
     """
     if side not in ("right", "left"):
         raise ValidationError(f"side must be 'right' or 'left', got {side!r}")
     _check_tol(tol)
-    if start is not None:
-        return _power_iteration(g, side, tol, max_iter, start)
     return g.memo(("dominant_eigenpair", side, tol, max_iter),
-                  lambda: _power_iteration(g, side, tol, max_iter, None))
+                  lambda: _power_iteration(g, side, tol, max_iter))
 
 
-def _power_iteration(g: Graph, side: str, tol: float, max_iter: int,
-                     start: np.ndarray | None) -> SpectralInfo:
+def _power_iteration(g: Graph, side: str, tol: float,
+                     max_iter: int) -> SpectralInfo:
     _require_irreducible(g)
     n = g.n
     if n == 1:
@@ -115,14 +112,7 @@ def _power_iteration(g: Graph, side: str, tol: float, max_iter: int,
         return SpectralInfo(lam, np.ones(1), side, 0, 0.0)
 
     matvec = g.matvec if side == "right" else g.matvec_t
-    if start is None:
-        x = np.full(n, 1.0 / np.sqrt(n))
-    else:
-        x = np.asarray(start, dtype=np.float64).copy()
-        if x.shape != (n,) or np.any(x <= 0):
-            raise ValidationError(
-                "start vector must be strictly positive with length n")
-        x /= np.linalg.norm(x)
+    x = np.full(n, 1.0 / np.sqrt(n))
 
     lam = 0.0
     residual = np.inf

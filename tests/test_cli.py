@@ -10,6 +10,7 @@ from walkrank.datasets import (
     SIX_NODE_PAGERANK_TABLE,
     SIX_NODE_PAGERANK_TOL,
 )
+from walkrank.measures import MEASURES
 
 K3 = "1 2\n1 3\n2 3\n"
 
@@ -62,6 +63,17 @@ def test_compute_out_of_range_alpha_exits_2(capsys, k3_file):
                        "--measure", "resolvent-subgraph", "--alpha", "99")
     assert code == 2
     assert "t_star" in err or "1/lambda1" in err
+
+
+@pytest.mark.parametrize(
+    "measure", [name for name, m in MEASURES.items() if m.family == "resolvent"])
+def test_compute_infeasible_alpha_names_alpha(capsys, measure):
+    code, out, err = run(capsys, "compute", "--input", "builtin:karate",
+                         "--measure", measure, "--alpha", "0.2")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: alpha must lie in [0, t_star) with t_star = "
+                   "1/lambda1 = 0.148683458653; got alpha = 0.2\n")
 
 
 def test_compute_scores_print_12_significant_digits(capsys, k3_file):
@@ -395,6 +407,33 @@ def test_sweep_side_is_the_side_compute_reports(capsys, tmp_path):
                 code, out, _ = run(capsys, "sweep", *argv)
                 assert code == 0
                 assert json.loads(out)["sweep"]["side"] == computed, argv
+
+
+def test_side_receive_is_noted_where_the_measure_scores_one_side(capsys,
+                                                                 tmp_path):
+    from walkrank.generators import strongly_connected_digraph
+    from walkrank.graph import dump_edge_list
+
+    digraph = tmp_path / "digraph.txt"
+    dump_edge_list(strongly_connected_digraph(12, 0.3, 9), str(digraph))
+    for graph in (("--input", str(digraph), "--directed"),
+                  ("--input", "builtin:karate")):
+        for name, spec in MEASURES.items():
+            if spec.diagonal and "--directed" in graph:
+                continue
+            argv = (*graph, "--measure", name, "--side", "receive")
+            if spec.required:
+                argv += (spec.flag, "1")
+            noted = ("--directed" in graph
+                     and name in ("pagerank", "heat-kernel"))
+            expected = ([f"note: --side receive ignored: {name} scores the "
+                         "broadcast side only"] if noted else [])
+            commands = ("compute", "sweep") if spec.sweepable else ("compute",)
+            for command in commands:
+                code, _, err = run(capsys, command, *argv)
+                assert code == 0
+                notes = [line for line in err.splitlines() if "--side" in line]
+                assert notes == expected, (command, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ def test_katz_path_example():
     assert cv.solver_meta["alpha_max"] == pytest.approx(1 / math.sqrt(2))
 
 
+def test_resolvent_measures_on_one_isolated_node_have_no_endpoint():
+    g = Graph.from_edges(1, [])  # lambda1 = 0, so every alpha is feasible
+    for cv in (katz(g, 0.5), resolvent_subgraph(g, 0.5)):
+        assert cv.scores.tolist() == [1.0]
+        assert cv.solver_meta["alpha_max"] == math.inf
+
+
 def test_katz_default_alpha_is_085_over_lambda1():
     g = karate()
     cv = katz(g)

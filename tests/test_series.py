@@ -52,7 +52,6 @@ def path3():
 def test_series_descriptors():
     assert EXPONENTIAL.coefficient(3) == pytest.approx(1.0 / 6.0)
     assert EXPONENTIAL.term_ratio(3) == pytest.approx(0.25)
-    assert EXPONENTIAL.class_tag == "entire"
     assert RESOLVENT.term_ratio(17) == 1.0
     assert RESOLVENT.radius == 1.0
 
@@ -359,7 +358,6 @@ def test_custom_series_function():
         kind="geometric-half",
         coefficient=lambda k: 0.5 ** k,
         radius=2.0,
-        class_tag="divergent_at_radius",
     )
     g = k3()
     # f(tA) v with f = sum (x/2)^k = (I - tA/2)^{-1} v
@@ -379,7 +377,6 @@ def test_custom_series_at_max_terms_in_fa_diagonal_reports_its_tail():
         kind="geometric-half",
         coefficient=lambda k: 0.5 ** k,
         radius=2.0,
-        class_tag="divergent_at_radius",
     )
     with pytest.raises(TruncationError) as info:
         fa_diagonal(k3(), geometric_half, 0.5, max_terms=3)
@@ -401,6 +398,19 @@ def test_parameter_outside_its_range_is_named(value):
     for name, call in calls:
         with pytest.raises(DomainError,
                            match=f"^{name} must be finite and non-negative"):
+            call()
+
+
+def test_parameter_beyond_the_feasible_endpoint_is_named():
+    g = k3()  # lambda1 = 2, t_star = 1/2 for the resolvent
+    ones = np.ones(g.n)
+    bound = r"must lie in \[0, t_star\) with t_star = 1/lambda1 = 0\.5; got"
+    calls = [("t", lambda: apply_series(g, RESOLVENT, 0.6, ones)),
+             ("alpha", lambda: resolvent_solve(g, 0.6, ones)),
+             ("alpha", lambda: fa_diagonal(g, RESOLVENT, 0.6))]
+    for name, call in calls:
+        with pytest.raises(DomainError,
+                           match=f"^{name} {bound} {name} = 0\\.6$"):
             call()
 
 

@@ -162,16 +162,6 @@ def test_second_eigenvalue_matches_dense_spectrum():
         assert second_eigenvalue(g) == pytest.approx(vals[-2], abs=1e-7)
 
 
-def test_start_vector_validation():
-    g = k3()
-    info = dominant_eigenpair(g, start=np.array([1.0, 2.0, 3.0]))
-    assert info.lambda1 == pytest.approx(2.0, abs=1e-9)
-    with pytest.raises(ValidationError):
-        dominant_eigenpair(g, start=np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(ValidationError):
-        dominant_eigenpair(g, start=np.ones(4))
-
-
 def test_invalid_side_rejected():
     with pytest.raises(ValidationError):
         dominant_eigenpair(k3(), side="middle")
