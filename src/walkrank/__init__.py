@@ -65,7 +65,6 @@ from .series import (
     EXPONENTIAL,
     RESOLVENT,
     SeriesFunction,
-    apply_series,
     dense_limit,
     exp_action,
     fa_diagonal,
@@ -92,8 +91,7 @@ __all__ = [
     "SpectralInfo", "dominant_eigenpair", "second_eigenvalue", "spectral_gap",
     # series
     "SeriesFunction", "EXPONENTIAL", "RESOLVENT", "feasible_interval",
-    "apply_series", "exp_action", "resolvent_solve", "fa_diagonal",
-    "dense_limit",
+    "exp_action", "resolvent_solve", "fa_diagonal", "dense_limit",
     # measures
     "CentralityVector", "degree_centrality", "eigenvector_centrality",
     "katz", "resolvent_subgraph", "exp_subgraph", "total_communicability",

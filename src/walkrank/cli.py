@@ -55,7 +55,7 @@ from .measures import MEASURES, SWEEPABLE
 from .pagerank import build_model, pagerank_power, small_alpha_limit
 from .ranking import (_resolve_depth, convergence_report,
                       intersection_distance, limit_sweep, rank)
-from .spectral import DEFAULT_TOL
+from .spectral import DEFAULT_TOL, _check_tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,9 +426,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
-            raise ValidationError(
-                f"--tol must be positive and finite, got {args.tol}")
+        if hasattr(args, "tol"):  # before the graph is read
+            _check_tol(args.tol, "--tol")
         return args.func(args)
     except (ConvergenceError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -593,11 +593,20 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
         raise GraphParseError(
             f"declared {nnz} entries but found {len(body)}", lines.count)
     stored = values != 0.0  # explicitly stored zeros are not edges
+
+    def report(k, check):
+        # entries and values are checked above, so only a loop is left;
+        # stored edge k is entry np.flatnonzero(stored)[k] of the file
+        at = int(np.flatnonzero(stored)[k])
+        return ValidationError(
+            f"line {int(numbers[at])}: self-loop at node {int(ids[at, 0])} "
+            "(pass allow_loops=True to accept)")
+
     return Graph._from_arrays(nrows, ids[stored, 0] - 1, ids[stored, 1] - 1,
                               values[stored],
                               directed=(symmetry == "general"),
                               node_labels=np.arange(nrows, dtype=np.int64) + 1,
-                              allow_loops=allow_loops)
+                              allow_loops=allow_loops, report=report)
 
 
 def dump_edge_list(g: Graph, path_or_file) -> None:

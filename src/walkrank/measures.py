@@ -17,12 +17,13 @@ computes it and, for sweepable measures, how
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .graph import Graph, degrees, is_connected
 from .pagerank import (
     ALPHA_CAP,
@@ -36,6 +37,7 @@ from .series import (
     EXPONENTIAL,
     RESOLVENT,
     SeriesFunction,
+    _require_undirected,
     exp_action,
     fa_diagonal,
     feasible_interval,
@@ -80,6 +82,18 @@ class CentralityVector:
         self.scores.setflags(write=False)
 
 
+def _fraction_of_endpoint(fraction, t_star: float, name: str):
+    """``fraction`` (a number or an array) of the feasible endpoint
+    ``t_star``, the form of every relative default; a :class:`DomainError`
+    naming ``name`` when the endpoint ``1/lambda1`` is infinite."""
+    if math.isinf(t_star):
+        raise DomainError(
+            f"the default {name} is set relative to the feasible endpoint "
+            f"1/lambda1, which is infinite at lambda1 = 0 (a graph without "
+            f"edges); pass --{name}")
+    return fraction * t_star
+
+
 def _resolve_side(g: Graph, side: str) -> tuple[str, bool]:
     """The side label a result reports, and whether the measure reads
     ``A.T``: only the receive side of a directed graph does."""
@@ -115,38 +129,43 @@ def katz(g: Graph, alpha: float | None = None, *, side: str = "broadcast",
          tol: float = DEFAULT_TOL) -> CentralityVector:
     """Katz scores ``(I - alpha A)^{-1} 1`` (transposed for receive).
 
-    ``alpha`` defaults to ``0.85 / lambda1`` and must stay below
+    ``alpha`` defaults to ``0.85 / lambda1``, which has no value at
+    ``lambda1 = 0`` (:class:`DomainError`), and must stay below
     ``1 / lambda1``.
     """
     resolved, transpose = _resolve_side(g, side)
     info = dominant_eigenpair(g, tol=tol)
+    alpha_max = feasible_interval(RESOLVENT, info.lambda1)[1]
     if alpha is None:
-        alpha = DEFAULT_ALPHA_FRACTION / info.lambda1
+        alpha = _fraction_of_endpoint(DEFAULT_ALPHA_FRACTION, alpha_max,
+                                      "alpha")
     ones = np.ones(g.n)
     scores = resolvent_solve(g, alpha, ones, tol=tol, transpose=transpose,
                              lambda1=info.lambda1)
-    meta = {"lambda1": info.lambda1,
-            "alpha_max": feasible_interval(RESOLVENT, info.lambda1)[1]}
+    meta = {"lambda1": info.lambda1, "alpha_max": alpha_max}
     return CentralityVector("katz", resolved, float(alpha), scores, meta)
 
 
 def resolvent_subgraph(g: Graph, alpha: float | None = None,
                        *, tol: float = DEFAULT_TOL) -> CentralityVector:
-    """Diagonal resolvent scores ``[(I - alpha A)^{-1}]_ii`` (undirected)."""
+    """Diagonal resolvent scores ``[(I - alpha A)^{-1}]_ii`` (undirected).
+
+    ``alpha`` defaults to ``0.85 / lambda1`` as in :func:`katz`."""
+    _require_undirected(g)
     info = dominant_eigenpair(g, tol=tol)
+    alpha_max = feasible_interval(RESOLVENT, info.lambda1)[1]
     if alpha is None:
-        alpha = DEFAULT_ALPHA_FRACTION / info.lambda1
-    scores = fa_diagonal(g, RESOLVENT, alpha, tol=tol)
-    meta = {"lambda1": info.lambda1,
-            "alpha_max": feasible_interval(RESOLVENT, info.lambda1)[1]}
+        alpha = _fraction_of_endpoint(DEFAULT_ALPHA_FRACTION, alpha_max,
+                                      "alpha")
+    scores = fa_diagonal(g, RESOLVENT, alpha)
+    meta = {"lambda1": info.lambda1, "alpha_max": alpha_max}
     return CentralityVector("resolvent-subgraph", "symmetric", float(alpha),
                             scores, meta)
 
 
-def exp_subgraph(g: Graph, beta: float = DEFAULT_BETA,
-                 *, tol: float = DEFAULT_TOL) -> CentralityVector:
+def exp_subgraph(g: Graph, beta: float = DEFAULT_BETA) -> CentralityVector:
     """Diagonal exponential scores ``[exp(beta A)]_ii`` (undirected)."""
-    scores = fa_diagonal(g, EXPONENTIAL, beta, tol=tol)
+    scores = fa_diagonal(g, EXPONENTIAL, beta)
     return CentralityVector("exp-subgraph", "symmetric", float(beta), scores)
 
 
@@ -255,7 +274,9 @@ class Sweep:
 
     def default_grid(self, t_star: float) -> np.ndarray:
         grid = np.asarray(self.grid, dtype=np.float64)
-        return grid * t_star if self.relative else grid
+        if self.relative:
+            return _fraction_of_endpoint(grid, t_star, "grid")
+        return grid
 
 
 SWEEPS = {
@@ -328,7 +349,7 @@ MEASURES: dict[str, Measure] = {m.name: m for m in (
             lambda g, t, side, tol, **_: resolvent_subgraph(g, t, tol=tol),
             flag="--alpha", sweepable=True, diagonal=True),
     Measure("exp-subgraph", "exponential",
-            lambda g, t, side, tol, **_: exp_subgraph(g, t, tol=tol),
+            lambda g, t, side, tol, **_: exp_subgraph(g, t),
             flag="--beta", default=DEFAULT_BETA, sweepable=True,
             diagonal=True),
     Measure("total-communicability", "exponential",

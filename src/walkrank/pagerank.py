@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graph import Graph, degrees
-from .series import DEFAULT_MAX_TERMS, _check_parameter, _scaled_taylor
+from .series import _check_parameter, _scaled_taylor
 from .spectral import DEFAULT_TOL, _check_tol
 
 __all__ = [
@@ -212,4 +212,4 @@ def heat_kernel_rowsums(model: GoogleModel, t: float,
     ones = np.ones(model.n)
     if t == 0.0:
         return ones
-    return _scaled_taylor(model.apply, t, 1.0, ones, tol, DEFAULT_MAX_TERMS)
+    return _scaled_taylor(model.apply, t, 1.0, ones, tol)

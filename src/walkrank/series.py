@@ -1,18 +1,18 @@
 """Matrix functions of the adjacency matrix, evaluated through power series.
 
-A :class:`SeriesFunction` describes ``f(x) = sum_k c_k x^k`` with positive
-coefficients and a radius of convergence ``R``. Applied to a graph with
-spectral radius ``lambda1``, the matrix version ``f(t A)`` is defined for
-``t`` in the feasible interval ``[0, R / lambda1)``.
+A :class:`SeriesFunction` describes ``f(x) = sum_k c_k x^k`` with
+``c_0 = 1``, positive coefficients and a radius of convergence ``R``.
+Applied to a graph with spectral radius ``lambda1``, the matrix version
+``f(t A)`` is defined for ``t`` in the feasible interval
+``[0, R / lambda1)``. Two functions are evaluated, :data:`EXPONENTIAL` and
+:data:`RESOLVENT`, each by one route for ``f(tA) v`` and one for
+``diag(f(tA))``:
 
-Three evaluation strategies live here:
-
-* :func:`apply_series` — generic term-by-term evaluation of ``f(tA) v``;
-* :func:`exp_action` / :func:`resolvent_solve` — specialized fast paths for
-  the two workhorse functions (scaled Taylor stepping, Neumann iteration);
-* :func:`fa_diagonal` — dense-eigendecomposition route to ``diag(f(tA))``
-  for undirected graphs up to a configurable size limit; the
-  decomposition is computed once per graph.
+* :func:`exp_action` / :func:`resolvent_solve` — ``f(tA) v`` by scaled
+  Taylor stepping and by Neumann iteration;
+* :func:`fa_diagonal` — ``diag(f(tA))`` in closed form from a dense
+  eigendecomposition, for undirected graphs up to a configurable size
+  limit; the decomposition is computed once per graph.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "EXPONENTIAL",
     "RESOLVENT",
     "feasible_interval",
-    "apply_series",
     "exp_action",
     "resolvent_solve",
     "fa_diagonal",
@@ -54,44 +53,24 @@ DEFAULT_DENSE_LIMIT = 3000
 
 @dataclass(frozen=True)
 class SeriesFunction:
-    """A power series ``sum_k c_k x^k`` with positive coefficients.
+    """A power series ``sum_k c_k x^k`` with ``c_0 = 1`` and positive
+    coefficients.
 
-    ``coefficient(k)`` returns ``c_k``; ``ratio(k)``, when provided, returns
-    ``c_{k+1} / c_k`` and should be preferred for deep series where the
-    coefficients themselves under- or overflow (e.g. ``1/k!``). ``radius``
+    ``ratio(k)`` returns ``c_{k+1} / c_k``, which stays representable where
+    the coefficients themselves under- or overflow (``1/k!``). ``radius``
     is the series' radius of convergence (``inf`` for entire functions).
     """
 
     kind: str
-    coefficient: Callable[[int], float]
     radius: float
-    ratio: Callable[[int], float] | None = None
-
-    def term_ratio(self, k: int) -> float:
-        if self.ratio is not None:
-            return self.ratio(k)
-        ck = self.coefficient(k)
-        ck1 = self.coefficient(k + 1)
-        if ck <= 0.0 or ck1 <= 0.0:
-            raise ValidationError(
-                f"series coefficients must be positive; got c_{k}={ck}, "
-                f"c_{k + 1}={ck1}")
-        return ck1 / ck
+    ratio: Callable[[int], float]
 
 
-EXPONENTIAL = SeriesFunction(
-    kind="exponential",
-    coefficient=lambda k: 1.0 / math.factorial(k) if k < 171 else 0.0,
-    radius=math.inf,
-    ratio=lambda k: 1.0 / (k + 1.0),
-)
+EXPONENTIAL = SeriesFunction(kind="exponential", radius=math.inf,
+                             ratio=lambda k: 1.0 / (k + 1.0))
 
-RESOLVENT = SeriesFunction(
-    kind="resolvent",
-    coefficient=lambda k: 1.0,
-    radius=1.0,
-    ratio=lambda k: 1.0,
-)
+RESOLVENT = SeriesFunction(kind="resolvent", radius=1.0,
+                           ratio=lambda k: 1.0)
 
 
 def feasible_interval(f: SeriesFunction, lambda1: float) -> tuple[float, float]:
@@ -134,17 +113,14 @@ def _norm_bound(g: Graph) -> float:
 def _series_action(matvec, f: SeriesFunction, t: float, v: np.ndarray,
                    tol: float, max_terms: int,
                    rho_hint: float) -> tuple[np.ndarray, int]:
-    """Evaluate ``f(tA) v`` term by term.
+    """Evaluate ``f(tA) v`` term by term, starting from ``c_0 v = v``.
 
     Stops after two consecutive terms satisfy
     ``||term||_1 <= tol * ||accumulated||_1``. ``rho_hint`` is an estimate of
     the asymptotic term-to-term growth factor, used only to report a tail
     bound if the term cap is hit.
     """
-    c0 = f.coefficient(0)
-    if c0 <= 0.0:
-        raise ValidationError(f"series constant term must be positive, got {c0}")
-    acc = c0 * v.astype(np.float64, copy=True)
+    acc = v.astype(np.float64, copy=True)
     if t == 0.0:
         return acc, 0
     term = acc.copy()
@@ -152,14 +128,14 @@ def _series_action(matvec, f: SeriesFunction, t: float, v: np.ndarray,
     k = 0
     while True:
         if k >= max_terms:
-            rho = f.term_ratio(k) * rho_hint
+            rho = f.ratio(k) * rho_hint
             tail = (float(np.abs(term).sum()) * rho / (1.0 - rho)
                     if rho < 1.0 else math.inf)
             raise TruncationError(
                 f"series did not converge within {max_terms} terms; "
                 f"estimated neglected tail {tail:.3e} in 1-norm",
                 best=acc, bound=tail)
-        term = (f.term_ratio(k) * t) * matvec(term)
+        term = (f.ratio(k) * t) * matvec(term)
         k += 1
         acc += term
         if float(np.abs(term).sum()) <= tol * float(np.abs(acc).sum()):
@@ -180,34 +156,7 @@ def _validate_vector(g: Graph, v) -> np.ndarray:
     return v
 
 
-def apply_series(g: Graph, f: SeriesFunction, t: float, v,
-                 *, tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_MAX_TERMS,
-                 transpose: bool = False,
-                 lambda1: float | None = None) -> np.ndarray:
-    """``f(tA) v`` by direct summation of the power series.
-
-    ``t`` must lie in ``[0, t_star)``; for functions with a finite radius
-    the dominant eigenvalue is computed on demand (or passed via
-    ``lambda1``) to locate ``t_star``. ``transpose=True`` applies
-    ``f(t A^T)`` instead. Exceeding ``max_terms`` raises
-    :class:`TruncationError` with a tail-size estimate.
-    """
-    v = _validate_vector(g, v)
-    _check_parameter("t", t)
-    _check_tol(tol)
-    if math.isfinite(f.radius) and t > 0.0:
-        if lambda1 is None:
-            lambda1 = dominant_eigenpair(g).lambda1
-        _check_parameter("t", t, f, lambda1)
-    matvec = g.matvec_t if transpose else g.matvec
-    rho_hint = t * _norm_bound(g)
-    result, _ = _series_action(matvec, f, t, v, tol, max_terms, rho_hint)
-    return result
-
-
 def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
-               max_terms: int = DEFAULT_MAX_TERMS,
                transpose: bool = False) -> np.ndarray:
     """``exp(beta * A) v`` by scaled Taylor stepping.
 
@@ -225,12 +174,12 @@ def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
         return v.copy()
     matvec = g.matvec_t if transpose else g.matvec
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _scaled_taylor(matvec, beta, _norm_bound(g), v, tol, max_terms)
+        w = _scaled_taylor(matvec, beta, _norm_bound(g), v, tol)
     return _check_exp_finite(w, beta)
 
 
 def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
-                   tol: float, max_terms: int) -> np.ndarray:
+                   tol: float) -> np.ndarray:
     """``exp(beta * M) v`` for the operator ``matvec`` with ``||M|| <=
     norm_bound``: ``s`` Taylor steps of ``exp((beta/s) M)`` at tolerance
     ``tol/s``, ``s`` the smallest power of two with ``beta * norm_bound / s
@@ -244,7 +193,7 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
     w = v
     for _ in range(s):
         w, _ = _series_action(matvec, EXPONENTIAL, step, w, inner_tol,
-                              max_terms, rho_hint)
+                              DEFAULT_MAX_TERMS, rho_hint)
     return w
 
 
@@ -302,16 +251,22 @@ def dense_limit() -> int:
             f"CENTRALITY_DENSE_LIMIT must be an integer, got {raw!r}") from None
 
 
-def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
-                *, tol: float = DEFAULT_TOL,
-                max_terms: int = DEFAULT_MAX_TERMS) -> np.ndarray:
+def _require_undirected(g: Graph) -> None:
+    """Raise :class:`UnsupportedOperationError` for a directed graph."""
+    if g.directed:
+        raise UnsupportedOperationError(
+            "diagonal measures need an undirected graph: a walk-return "
+            "diagonal cannot separate in- from out-roles")
+
+
+def fa_diagonal(g: Graph, f: SeriesFunction, t: float) -> np.ndarray:
     """``diag(f(tA))`` through a dense symmetric eigendecomposition.
 
-    With ``A = Q diag(mu) Q^T``, entry ``i`` is ``sum_k f(t mu_k) Q_ik^2``.
-    Exponential and resolvent use closed scalar forms; other series are
-    summed scalar-wise. Undirected graphs only, and ``n`` must not exceed
-    :func:`dense_limit`. Raises :class:`DomainError` when the exponential
-    overflows float64.
+    With ``A = Q diag(mu) Q^T``, entry ``i`` is ``sum_k f(t mu_k) Q_ik^2``,
+    with ``f`` in closed form: ``exp`` for :data:`EXPONENTIAL` (parameter
+    ``beta``), ``1/(1 - x)`` for :data:`RESOLVENT` (parameter ``alpha``).
+    Undirected graphs only, and ``n`` must not exceed :func:`dense_limit`.
+    Raises :class:`DomainError` when the exponential overflows float64.
 
     The pair ``(mu, Q * Q)`` does not depend on ``f`` or ``t``: it is
     computed once per graph (see :meth:`Graph.memo`), kept read-only, and
@@ -319,17 +274,18 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
     ``n**2`` floats for the graph's lifetime. The checks above run before
     the lookup, on every call.
     """
-    if g.directed:
-        raise UnsupportedOperationError(
-            "diagonal measures need an undirected graph: a walk-return "
-            "diagonal cannot separate in- from out-roles")
+    name = {"exponential": "beta", "resolvent": "alpha"}.get(f.kind)
+    if name is None:
+        raise ValidationError(
+            f"fa_diagonal evaluates the exponential and the resolvent, got "
+            f"{f.kind!r}")
+    _require_undirected(g)
     limit = dense_limit()
     if g.n > limit:
         raise CapacityError(
             f"dense eigendecomposition limited to {limit} nodes (graph has "
             f"{g.n}); raise CENTRALITY_DENSE_LIMIT or use "
             "total_communicability, which needs no dense factorization")
-    name = {"exponential": "beta", "resolvent": "alpha"}.get(f.kind, "t")
     _check_parameter(name, t)
     if g.n == 0:
         return np.zeros(0)
@@ -341,13 +297,7 @@ def fa_diagonal(g: Graph, f: SeriesFunction, t: float,
     if f.kind == "exponential":
         with np.errstate(over="ignore", invalid="ignore"):
             return _check_exp_finite(w @ np.exp(x), t)
-    if f.kind == "resolvent":
-        vals = 1.0 / (1.0 - x)
-    else:
-        vals, _ = _series_action(lambda term: x * term, f, 1.0,
-                                 np.ones(g.n), tol, max_terms,
-                                 rho_hint=float(np.abs(x).max()))
-    return w @ vals
+    return w @ (1.0 / (1.0 - x))
 
 
 def _squared_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray]:

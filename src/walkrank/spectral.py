@@ -58,10 +58,11 @@ class SpectralInfo:
         self.dominant_vector.setflags(write=False)
 
 
-def _check_tol(tol: float) -> None:
-    """Raise :class:`DomainError` unless ``tol`` is positive and finite."""
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``tol`` is positive
+    and finite."""
     if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+        raise DomainError(f"{name} must be positive and finite, got {tol}")
 
 
 def _require_irreducible(g: Graph) -> None:

@@ -282,7 +282,7 @@ def test_criterion_5_dense_oracle_equivalence(capsys):
                    rel(resolvent_subgraph(g, alpha, tol=1e-13).scores,
                        np.diag(resolvent_dense)))
             record("exp-subgraph",
-                   rel(exp_subgraph(g, 1.5, tol=1e-13).scores,
+                   rel(exp_subgraph(g, 1.5).scores,
                        np.diag(expm_taylor(1.5 * a))))
 
         hub_oracle = dense_dominant(a @ a.T)[1]

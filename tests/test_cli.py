@@ -576,3 +576,33 @@ def test_pagerank_demo_passes_and_prints_rankings(capsys):
     assert "all values match" in out
     for alpha in ("0.9", "0.1", "0.01", "0.001"):
         assert f"alpha = {alpha}" in out
+
+
+# ---------------------------------------------------------------------------
+# graphs with no edges
+# ---------------------------------------------------------------------------
+
+TINY_GRAPHS = {
+    "zero-nodes": "%%MatrixMarket matrix coordinate pattern symmetric\n0 0 0\n",
+    "one-node": "%%MatrixMarket matrix coordinate pattern symmetric\n1 1 0\n",
+    "one-node-directed":
+        "%%MatrixMarket matrix coordinate pattern general\n1 1 0\n",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(TINY_GRAPHS))
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_graphs_without_edges_exit_0_or_2_with_one_error_line(
+        capsys, tmp_path, measure, graph):
+    path = tmp_path / f"{graph}.mtx"
+    path.write_text(TINY_GRAPHS[graph])
+    runs = [("compute", "--input", str(path), "--measure", measure)]
+    if measure == "heat-kernel":
+        runs[0] += ("--t", "1")
+    if MEASURES[measure].sweepable:
+        runs.append(("sweep", "--input", str(path), "--measure", measure))
+    for argv in runs:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2), argv
+        assert err == "" or (err.startswith("error: ")
+                             and err.count("\n") == 1), (argv, err)

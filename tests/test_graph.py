@@ -469,7 +469,15 @@ MALFORMED = {
                        "line 5: declared 3 entries but found 2"),
     "mm-self-loop": (load_matrix_market, MM + "2 2 2\n2 2 1\n1 2 1\n", {},
                      ValidationError,
-                     "self-loop at node 1 (pass allow_loops=True to accept)"),
+                     "line 3: self-loop at node 2 "
+                     "(pass allow_loops=True to accept)"),
+    "mm-self-loop-after-zero": (
+        load_matrix_market, MM + "3 3 3\n1 2 0\n% c\n1 3 1\n3 3 1\n", {},
+        ValidationError,
+        "line 6: self-loop at node 3 (pass allow_loops=True to accept)"),
+    "mm-count-before-loop": (load_matrix_market, MM + "2 2 3\n2 2 1\n", {},
+                             GraphParseError,
+                             "line 3: declared 3 entries but found 1"),
     "mm-shape-before-fields": (
         load_matrix_market, MM + "2 2 2\n5 1 1\n1 2\n", {}, GraphParseError,
         "line 3: entry (5, 1) outside declared 2x2 shape"),

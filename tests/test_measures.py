@@ -5,6 +5,7 @@ import pytest
 
 from walkrank import (
     ConvergenceError,
+    DomainError,
     Graph,
     UnsupportedOperationError,
     ValidationError,
@@ -14,6 +15,7 @@ from walkrank import (
     exp_subgraph,
     hits,
     katz,
+    limit_sweep,
     rank,
     resolvent_subgraph,
     total_communicability,
@@ -79,6 +81,27 @@ def test_resolvent_measures_on_one_isolated_node_have_no_endpoint():
     for cv in (katz(g, 0.5), resolvent_subgraph(g, 0.5)):
         assert cv.scores.tolist() == [1.0]
         assert cv.solver_meta["alpha_max"] == math.inf
+
+
+def test_relative_defaults_on_one_isolated_node_name_lambda1_and_the_flag():
+    g = Graph.from_edges(1, [])  # 1/lambda1 = inf: no fraction of it exists
+    for call, flag in ((lambda: katz(g), "--alpha"),
+                       (lambda: resolvent_subgraph(g), "--alpha"),
+                       (lambda: limit_sweep(g, "katz"), "--grid"),
+                       (lambda: limit_sweep(g, "resolvent-subgraph"),
+                        "--grid")):
+        with pytest.raises(DomainError, match=f"lambda1 = 0.*pass {flag}$"):
+            call()
+
+
+def test_resolvent_subgraph_names_the_undirected_rule_first():
+    # one directed node (lambda1 = 0) and a digraph that is not strongly
+    # connected: the diagonal's own rule is the cause, not the eigenpair's
+    for g in (Graph.from_edges(1, [], directed=True),
+              Graph.from_edges(3, [(0, 1), (1, 2)], directed=True)):
+        with pytest.raises(UnsupportedOperationError,
+                           match="need an undirected graph"):
+            resolvent_subgraph(g)
 
 
 def test_katz_default_alpha_is_085_over_lambda1():

@@ -13,7 +13,6 @@ from walkrank import (
     TruncationError,
     UnsupportedOperationError,
     ValidationError,
-    apply_series,
     dense_limit,
     dominant_eigenpair,
     exp_action,
@@ -33,6 +32,7 @@ from walkrank.pagerank import (
     pagerank_linear,
     pagerank_power,
 )
+from walkrank.series import DEFAULT_MAX_TERMS, _series_action
 
 from oracles import expm_taylor
 
@@ -50,9 +50,9 @@ def path3():
 # ---------------------------------------------------------------------------
 
 def test_series_descriptors():
-    assert EXPONENTIAL.coefficient(3) == pytest.approx(1.0 / 6.0)
-    assert EXPONENTIAL.term_ratio(3) == pytest.approx(0.25)
-    assert RESOLVENT.term_ratio(17) == 1.0
+    assert EXPONENTIAL.ratio(3) == pytest.approx(0.25)
+    assert EXPONENTIAL.radius == math.inf
+    assert RESOLVENT.ratio(17) == 1.0
     assert RESOLVENT.radius == 1.0
 
 
@@ -71,48 +71,31 @@ def test_feasible_interval_karate():
 
 
 # ---------------------------------------------------------------------------
-# apply_series
+# shared validation and the term-by-term series
 # ---------------------------------------------------------------------------
 
+def series(g, f, t, v, *, matvec=None, tol=1e-10):
+    """``f(tA) v`` summed term by term, as the Taylor steps do."""
+    out, _ = _series_action(matvec or g.matvec, f, t, v, tol,
+                            DEFAULT_MAX_TERMS, t * g.n)
+    return out
+
+
 def test_resolvent_series_on_triangle():
-    out = apply_series(k3(), RESOLVENT, 0.25, np.ones(3))
-    assert np.allclose(out, 2.0, atol=1e-9)
+    assert np.allclose(series(k3(), RESOLVENT, 0.25, np.ones(3)), 2.0,
+                       atol=1e-9)
 
 
 def test_series_at_zero_returns_constant_term():
     v = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(apply_series(k3(), EXPONENTIAL, 0.0, v), v)
-    assert np.array_equal(apply_series(k3(), RESOLVENT, 0.0, v), v)
-
-
-def test_series_domain_errors():
-    with pytest.raises(DomainError):
-        apply_series(k3(), EXPONENTIAL, -0.1, np.ones(3))
-    with pytest.raises(DomainError, match="t_star"):
-        apply_series(k3(), RESOLVENT, 0.5, np.ones(3))  # t* = 1/2
-    with pytest.raises(DomainError, match="0.5"):
-        apply_series(k3(), RESOLVENT, 0.7, np.ones(3))
-
-
-def test_series_vector_validation():
-    with pytest.raises(ValidationError):
-        apply_series(k3(), RESOLVENT, 0.1, np.ones(4))
-    with pytest.raises(ValidationError):
-        apply_series(k3(), RESOLVENT, 0.1, np.array([1.0, np.nan, 1.0]))
-
-
-def test_series_truncation_error_reports_tail():
-    with pytest.raises(TruncationError) as exc_info:
-        apply_series(k3(), RESOLVENT, 0.45, np.ones(3), max_terms=5)
-    err = exc_info.value
-    assert err.best is not None
-    assert err.bound is not None and err.bound > 0
+    assert np.array_equal(series(k3(), EXPONENTIAL, 0.0, v), v)
+    assert np.array_equal(series(k3(), RESOLVENT, 0.0, v), v)
 
 
 def test_exponential_series_matches_dense_taylor():
     g = path3()
     expected = expm_taylor(g.to_dense()) @ np.ones(3)
-    out = apply_series(g, EXPONENTIAL, 1.0, np.ones(3))
+    out = series(g, EXPONENTIAL, 1.0, np.ones(3))
     assert np.allclose(out, expected, rtol=1e-10)
 
 
@@ -120,7 +103,7 @@ def test_series_transpose_applies_to_adjoint():
     g = strongly_connected_digraph(8, 0.3, 4)
     a = g.to_dense()
     v = np.arange(1.0, 9.0)
-    out = apply_series(g, EXPONENTIAL, 0.7, v, transpose=True)
+    out = series(g, EXPONENTIAL, 0.7, v, matvec=g.matvec_t)
     assert np.allclose(out, expm_taylor(0.7 * a.T) @ v, rtol=1e-9)
 
 
@@ -133,9 +116,27 @@ def test_resolvent_series_agrees_with_neumann_solver():
         lam1 = dominant_eigenpair(g).lambda1
         alpha = float(rng.uniform(0.0, 0.95)) / lam1
         v = rng.uniform(0.5, 2.0, g.n)
-        a = apply_series(g, RESOLVENT, alpha, v, lambda1=lam1)
+        a = series(g, RESOLVENT, alpha, v)
         b = resolvent_solve(g, alpha, v, lambda1=lam1)
         assert np.abs(a - b).sum() <= 10 * 1e-10 * np.abs(b).sum()
+
+
+def test_series_vector_validation():
+    for call in (lambda v: exp_action(k3(), 0.1, v),
+                 lambda v: resolvent_solve(k3(), 0.1, v)):
+        with pytest.raises(ValidationError, match="length 3"):
+            call(np.ones(4))
+        with pytest.raises(ValidationError, match="finite"):
+            call(np.array([1.0, np.nan, 1.0]))
+
+
+def test_series_truncation_error_reports_tail():
+    g = k3()
+    with pytest.raises(TruncationError) as exc_info:
+        _series_action(g.matvec, RESOLVENT, 0.45, np.ones(3), 1e-10, 5, 0.9)
+    err = exc_info.value
+    assert err.best is not None
+    assert err.bound is not None and err.bound > 0
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +268,13 @@ def test_diagonal_rejects_directed_and_bad_t():
         fa_diagonal(k3(), RESOLVENT, 0.5)
 
 
+def test_diagonal_rejects_a_function_without_a_closed_form():
+    halved = SeriesFunction(kind="geometric-half", radius=2.0,
+                            ratio=lambda k: 0.5)  # 1 / (1 - x/2)
+    with pytest.raises(ValidationError, match="'geometric-half'"):
+        fa_diagonal(k3(), halved, 0.5)
+
+
 def test_diagonal_positive_inside_feasible_interval():
     rng = np.random.default_rng(13)
     for _ in range(5):
@@ -349,48 +357,11 @@ def test_dense_limit_env_override(monkeypatch):
         dense_limit()
 
 
-def test_custom_series_function():
-    # cosh: even part of the exponential, still entire with positive
-    # coefficients after reparameterization x -> x (odd terms zero would be
-    # invalid, so use (exp + shifted) style: here take f with c_k = 1/2^k,
-    # a geometric series with radius 2
-    geometric_half = SeriesFunction(
-        kind="geometric-half",
-        coefficient=lambda k: 0.5 ** k,
-        radius=2.0,
-    )
-    g = k3()
-    # f(tA) v with f = sum (x/2)^k = (I - tA/2)^{-1} v
-    out = apply_series(g, geometric_half, 0.5, np.ones(3))
-    expected = np.linalg.solve(np.eye(3) - 0.25 * g.to_dense(), np.ones(3))
-    assert np.allclose(out, expected, rtol=1e-9)
-    diag = fa_diagonal(g, geometric_half, 0.5)
-    expected_diag = np.diag(np.linalg.inv(np.eye(3) - 0.25 * g.to_dense()))
-    assert np.allclose(diag, expected_diag, rtol=1e-9)
-    # t* = radius / lambda1 = 2 / 2 = 1
-    with pytest.raises(DomainError):
-        apply_series(g, geometric_half, 1.0, np.ones(3))
-
-
-def test_custom_series_at_max_terms_in_fa_diagonal_reports_its_tail():
-    geometric_half = SeriesFunction(
-        kind="geometric-half",
-        coefficient=lambda k: 0.5 ** k,
-        radius=2.0,
-    )
-    with pytest.raises(TruncationError) as info:
-        fa_diagonal(k3(), geometric_half, 0.5, max_terms=3)
-    assert info.value.bound is not None and math.isfinite(info.value.bound)
-    assert info.value.bound > 0.0
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
 def test_parameter_outside_its_range_is_named(value):
     g = k3()
     ones = np.ones(g.n)
-    calls = [("t", lambda: apply_series(g, EXPONENTIAL, value, ones)),
-             ("t", lambda: apply_series(g, RESOLVENT, value, ones)),
-             ("beta", lambda: exp_action(g, value, ones)),
+    calls = [("beta", lambda: exp_action(g, value, ones)),
              ("alpha", lambda: resolvent_solve(g, value, ones)),
              ("beta", lambda: fa_diagonal(g, EXPONENTIAL, value)),
              ("alpha", lambda: fa_diagonal(g, RESOLVENT, value)),
@@ -405,8 +376,7 @@ def test_parameter_beyond_the_feasible_endpoint_is_named():
     g = k3()  # lambda1 = 2, t_star = 1/2 for the resolvent
     ones = np.ones(g.n)
     bound = r"must lie in \[0, t_star\) with t_star = 1/lambda1 = 0\.5; got"
-    calls = [("t", lambda: apply_series(g, RESOLVENT, 0.6, ones)),
-             ("alpha", lambda: resolvent_solve(g, 0.6, ones)),
+    calls = [("alpha", lambda: resolvent_solve(g, 0.6, ones)),
              ("alpha", lambda: fa_diagonal(g, RESOLVENT, 0.6))]
     for name, call in calls:
         with pytest.raises(DomainError,
@@ -427,7 +397,6 @@ def test_tolerance_outside_its_range_is_named_before_any_iteration(
     ones = np.ones(g.n)
     calls = [lambda: dominant_eigenpair(g, tol=tol),
              lambda: resolvent_solve(g, 0.01, ones, tol=tol),
-             lambda: apply_series(g, EXPONENTIAL, 0.1, ones, tol=tol),
              lambda: exp_action(g, 0.1, ones, tol=tol),
              lambda: pagerank_power(model, tol=tol),
              lambda: pagerank_linear(model, tol=tol),
