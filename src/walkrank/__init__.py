@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     FormatError,
     GraphParseError,
-    TruncationError,
     UnsupportedOperationError,
     ValidationError,
     WalkrankError,
@@ -106,7 +105,7 @@ __all__ = [
     # errors
     "WalkrankError", "GraphParseError", "FormatError", "ValidationError",
     "DomainError", "CapacityError", "UnsupportedOperationError",
-    "ConvergenceError", "TruncationError",
+    "ConvergenceError",
     # bundled fixtures
     "karate", "six_node_digraph",
 ]

@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 demo mismatch; 2 invalid input or parameters
 (message names the violated bound) or a file that cannot be read or
-written (message names the path); 3 an iteration or series failed to
-converge within its cap.
+written (message names the path); 3 an iteration failed to converge
+within its cap.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .datasets import (
 )
 from .errors import (
     ConvergenceError,
-    TruncationError,
     ValidationError,
     WalkrankError,
 )
@@ -429,7 +428,7 @@ def main(argv=None) -> int:
         if hasattr(args, "tol"):  # before the graph is read
             _check_tol(args.tol, "--tol")
         return args.func(args)
-    except (ConvergenceError, TruncationError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (WalkrankError, OSError) as exc:

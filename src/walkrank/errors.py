@@ -59,14 +59,3 @@ class ConvergenceError(WalkrankError):
         self.best = best
         self.residual = residual
 
-
-class TruncationError(WalkrankError):
-    """A series was cut off by an explicit term cap before converging.
-
-    ``bound`` is an upper estimate of the magnitude of the neglected tail.
-    """
-
-    def __init__(self, message: str, best=None, bound: float | None = None):
-        super().__init__(message)
-        self.best = best
-        self.bound = bound

@@ -515,9 +515,10 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
     negative weights are rejected; ``array`` and ``complex`` files raise
     :class:`FormatError`. Node labels are the file's 1-based indices.
 
-    The first malformed entry line raises, its checks in the order field
-    count, indices, declared shape, value token, value sign; then the entry
-    count is checked against the size line, then self-loops.
+    The first malformed entry line raises :class:`GraphParseError` with its
+    line number, its checks in the order field count, indices, declared
+    shape, value token, value sign; then the entry count is checked against
+    the size line, then self-loops.
     """
     lines = _read_lines(path_or_file, ("%",))
     header = lines.first
@@ -575,8 +576,9 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
             raise GraphParseError(
                 f"entry ({i}, {j}) outside declared {nrows}x{ncols} shape",
                 int(numbers[k]))
-        raise ValidationError(f"line {int(numbers[k])}: negative or "
-                              f"non-finite weight {float(values[k])}")
+        raise GraphParseError(
+            f"negative or non-finite weight {float(values[k])}",
+            int(numbers[k]))
     if bad is not None:
         lineno = int(numbers[bad.at])
         if bad.fault == "columns":
@@ -598,9 +600,9 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
         # entries and values are checked above, so only a loop is left;
         # stored edge k is entry np.flatnonzero(stored)[k] of the file
         at = int(np.flatnonzero(stored)[k])
-        return ValidationError(
-            f"line {int(numbers[at])}: self-loop at node {int(ids[at, 0])} "
-            "(pass allow_loops=True to accept)")
+        return GraphParseError(
+            f"self-loop at node {int(ids[at, 0])} "
+            "(pass allow_loops=True to accept)", int(numbers[at]))
 
     return Graph._from_arrays(nrows, ids[stored, 0] - 1, ids[stored, 1] - 1,
                               values[stored],

@@ -207,9 +207,6 @@ class SweepResult:
     isim_successive: np.ndarray
     k: int
     t_star: float
-    rankings: tuple[Ranking, ...]
-    reference_degree: Ranking
-    reference_eigenvector: Ranking
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -295,21 +292,20 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
     ref_degree = rank(deg_scores, tie_tol=tie_tol)
     ref_eigen = rank(eig_scores, tie_tol=tie_tol)
 
-    rankings = []
+    previous = None
     isim_deg = np.empty(grid.shape[0])
     isim_eig = np.empty(grid.shape[0])
     isim_succ = np.full(grid.shape[0], np.nan)
     for i, t in enumerate(grid):
         cv = spec.compute(g, float(t), side=side, tol=tol)
         r = rank(cv.scores, tie_tol=tie_tol)
-        rankings.append(r)
         isim_deg[i] = intersection_distance(
             r.order, _align_to(ref_degree, r.order), k)
         isim_eig[i] = intersection_distance(
             r.order, _align_to(ref_eigen, r.order), k)
-        if i > 0:
-            isim_succ[i] = intersection_distance(
-                r.order, rankings[i - 1].order, k)
+        if previous is not None:
+            isim_succ[i] = intersection_distance(r.order, previous.order, k)
+        previous = r
 
     return SweepResult(
         measure=measure,
@@ -320,9 +316,6 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
         isim_successive=isim_succ,
         k=k,
         t_star=t_star,
-        rankings=tuple(rankings),
-        reference_degree=ref_degree,
-        reference_eigenvector=ref_eigen,
     )
 
 

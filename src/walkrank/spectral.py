@@ -74,8 +74,8 @@ def _require_irreducible(g: Graph) -> None:
         if not is_strongly_connected(g):
             raise ValidationError(
                 "directed graph must be strongly connected for a positive "
-                "dominant eigenpair (extract the largest strongly connected "
-                "component first)")
+                "dominant eigenpair (in Python, walkrank.largest_scc extracts "
+                "its largest strongly connected component)")
     elif not is_connected(g):
         raise ValidationError(
             "graph must be connected for a positive dominant eigenpair")

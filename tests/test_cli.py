@@ -1,10 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walkrank
 from walkrank.cli import main
 from walkrank.datasets import (
     SIX_NODE_PAGERANK_TABLE,
@@ -26,6 +30,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it would add a few tenths
+    # of a second to every command
+    src = str(Path(walkrank.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import walkrank.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +241,37 @@ def test_mtx_directed_flag_warns(capsys, tmp_path):
                        "--measure", "degree")
     assert code == 0
     assert "symmetry governs" in err
+
+
+def test_katz_on_digraph_not_strongly_connected_names_the_remedy(capsys,
+                                                                  tmp_path):
+    path = tmp_path / "chain.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n")
+    code, out, err = run(capsys, "compute", "--input", str(path),
+                         "--measure", "katz")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: directed graph must be strongly connected for a positive "
+        "dominant eigenpair (in Python, walkrank.largest_scc extracts its "
+        "largest strongly connected component)\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("2 2 2\n1 2 0\n2 1 -2\n", "line 4: negative or non-finite weight -2.0"),
+    ("2 2 2\n2 2 1\n1 2 1\n",
+     "line 3: self-loop at node 2 (pass allow_loops=True to accept)"),
+])
+def test_mtx_line_fault_exits_2_with_its_line(capsys, tmp_path, body,
+                                              message):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+    code, out, err = run(capsys, "compute", "--input", str(path),
+                         "--measure", "degree")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_synth_graphs(capsys):

@@ -286,9 +286,10 @@ def test_mtx_rejects_bad_shapes_and_values():
     with pytest.raises(ValidationError, match="square"):
         load_matrix_market(io.StringIO(
             "%%MatrixMarket matrix coordinate real general\n2 3 0\n"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(GraphParseError, match="^line 3: negative") as info:
         load_matrix_market(io.StringIO(
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 -1\n"))
+    assert info.value.line_number == 3
 
 
 def test_mtx_entry_count_must_match():
@@ -462,18 +463,18 @@ MALFORMED = {
                        GraphParseError,
                        "line 3: value must be a number, got 'abc'"),
     "mm-value-sign": (load_matrix_market, MM + "2 2 2\n1 2 0\n2 1 -2\n", {},
-                      ValidationError,
+                      GraphParseError,
                       "line 4: negative or non-finite weight -2.0"),
     "mm-entry-count": (load_matrix_market, MM + "2 2 3\n1 2 1\n2 1 1\n\n",
                        {}, GraphParseError,
                        "line 5: declared 3 entries but found 2"),
     "mm-self-loop": (load_matrix_market, MM + "2 2 2\n2 2 1\n1 2 1\n", {},
-                     ValidationError,
+                     GraphParseError,
                      "line 3: self-loop at node 2 "
                      "(pass allow_loops=True to accept)"),
     "mm-self-loop-after-zero": (
         load_matrix_market, MM + "3 3 3\n1 2 0\n% c\n1 3 1\n3 3 1\n", {},
-        ValidationError,
+        GraphParseError,
         "line 6: self-loop at node 3 (pass allow_loops=True to accept)"),
     "mm-count-before-loop": (load_matrix_market, MM + "2 2 3\n2 2 1\n", {},
                              GraphParseError,
@@ -485,7 +486,7 @@ MALFORMED = {
         load_matrix_market, MM + "2 2 1\n1 9 x\n", {}, GraphParseError,
         "line 3: entry (1, 9) outside declared 2x2 shape"),
     "mm-sign-before-count": (
-        load_matrix_market, MM + "2 2 5\n1 2 nan\n", {}, ValidationError,
+        load_matrix_market, MM + "2 2 5\n1 2 nan\n", {}, GraphParseError,
         "line 3: negative or non-finite weight nan"),
     "mm-last-line": (
         load_matrix_market, MM_PATTERN + "3000 3000 3000\n"
@@ -500,6 +501,8 @@ def test_malformed_file_names_first_bad_line_and_check(case):
     with pytest.raises(error) as info:
         loader(io.StringIO(text), **kw)
     assert str(info.value) == message
+    if error is GraphParseError:  # the number in the message, as a field
+        assert message.startswith(f"line {info.value.line_number}: ")
 
 
 @pytest.mark.parametrize("token", ["1_000", "\u0661", "9223372036854775808"])

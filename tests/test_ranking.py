@@ -19,7 +19,11 @@ from walkrank import (
 )
 from walkrank.datasets import karate, six_node_digraph
 from walkrank.generators import strongly_connected_digraph
-from walkrank.measures import EXP_FAMILY_GRID, RESOLVENT_FAMILY_FRACTIONS
+from walkrank.measures import (
+    EXP_FAMILY_GRID,
+    MEASURES,
+    RESOLVENT_FAMILY_FRACTIONS,
+)
 from walkrank.ranking import _align_to
 
 from oracles import (
@@ -309,11 +313,17 @@ def test_sweep_directed_sides_use_matching_references():
     from walkrank.graph import degrees as graph_degrees
 
     out_deg, in_deg = graph_degrees(g)
+    limits = MEASURES["katz"].sweep.limits
+    for receive, deg in ((False, out_deg), (True, in_deg)):
+        assert np.array_equal(limits(g, receive, 1e-12)[1], deg)
     broadcast = limit_sweep(g, "katz", side="broadcast", grid=[1e-6],
                             tol=1e-12)
     receive = limit_sweep(g, "katz", side="receive", grid=[1e-6], tol=1e-12)
-    assert list(broadcast.reference_degree.order) == list(rank(out_deg).order)
-    assert list(receive.reference_degree.order) == list(rank(in_deg).order)
+    # the two degree rankings are far apart here, so a distance of 0 to the
+    # degree reference pins the matching side
+    by_out, by_in = rank(out_deg), rank(in_deg)
+    assert intersection_distance(
+        by_out.order, _align_to(by_in, by_out.order), broadcast.k) > 0.4
     assert broadcast.isim_to_degree[0] == 0.0
     assert receive.isim_to_degree[0] == 0.0
     assert broadcast.side == "broadcast" and receive.side == "receive"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from walkrank import (
     DomainError,
     Graph,
     SeriesFunction,
-    TruncationError,
     UnsupportedOperationError,
     ValidationError,
     dense_limit,
@@ -32,7 +33,6 @@ from walkrank.pagerank import (
     pagerank_linear,
     pagerank_power,
 )
-from walkrank.series import DEFAULT_MAX_TERMS, _series_action
 
 from oracles import expm_taylor
 
@@ -50,9 +50,9 @@ def path3():
 # ---------------------------------------------------------------------------
 
 def test_series_descriptors():
-    assert EXPONENTIAL.ratio(3) == pytest.approx(0.25)
+    assert [f.name for f in dataclasses.fields(SeriesFunction)] == [
+        "kind", "radius"]
     assert EXPONENTIAL.radius == math.inf
-    assert RESOLVENT.ratio(17) == 1.0
     assert RESOLVENT.radius == 1.0
 
 
@@ -71,31 +71,19 @@ def test_feasible_interval_karate():
 
 
 # ---------------------------------------------------------------------------
-# shared validation and the term-by-term series
+# shared validation and the Taylor sum
 # ---------------------------------------------------------------------------
-
-def series(g, f, t, v, *, matvec=None, tol=1e-10):
-    """``f(tA) v`` summed term by term, as the Taylor steps do."""
-    out, _ = _series_action(matvec or g.matvec, f, t, v, tol,
-                            DEFAULT_MAX_TERMS, t * g.n)
-    return out
-
-
-def test_resolvent_series_on_triangle():
-    assert np.allclose(series(k3(), RESOLVENT, 0.25, np.ones(3)), 2.0,
-                       atol=1e-9)
-
 
 def test_series_at_zero_returns_constant_term():
     v = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(series(k3(), EXPONENTIAL, 0.0, v), v)
-    assert np.array_equal(series(k3(), RESOLVENT, 0.0, v), v)
+    assert np.array_equal(exp_action(k3(), 0.0, v), v)
+    assert np.array_equal(resolvent_solve(k3(), 0.0, v), v)
 
 
 def test_exponential_series_matches_dense_taylor():
     g = path3()
     expected = expm_taylor(g.to_dense()) @ np.ones(3)
-    out = series(g, EXPONENTIAL, 1.0, np.ones(3))
+    out = exp_action(g, 1.0, np.ones(3), tol=1e-10)
     assert np.allclose(out, expected, rtol=1e-10)
 
 
@@ -103,22 +91,8 @@ def test_series_transpose_applies_to_adjoint():
     g = strongly_connected_digraph(8, 0.3, 4)
     a = g.to_dense()
     v = np.arange(1.0, 9.0)
-    out = series(g, EXPONENTIAL, 0.7, v, matvec=g.matvec_t)
+    out = exp_action(g, 0.7, v, tol=1e-10, transpose=True)
     assert np.allclose(out, expm_taylor(0.7 * a.T) @ v, rtol=1e-9)
-
-
-def test_resolvent_series_agrees_with_neumann_solver():
-    rng = np.random.default_rng(6)
-    for _ in range(8):
-        g = connected_erdos_renyi(int(rng.integers(4, 51)),
-                                  float(rng.uniform(0.2, 0.6)),
-                                  int(rng.integers(0, 2 ** 31)))
-        lam1 = dominant_eigenpair(g).lambda1
-        alpha = float(rng.uniform(0.0, 0.95)) / lam1
-        v = rng.uniform(0.5, 2.0, g.n)
-        a = series(g, RESOLVENT, alpha, v)
-        b = resolvent_solve(g, alpha, v, lambda1=lam1)
-        assert np.abs(a - b).sum() <= 10 * 1e-10 * np.abs(b).sum()
 
 
 def test_series_vector_validation():
@@ -128,15 +102,6 @@ def test_series_vector_validation():
             call(np.ones(4))
         with pytest.raises(ValidationError, match="finite"):
             call(np.array([1.0, np.nan, 1.0]))
-
-
-def test_series_truncation_error_reports_tail():
-    g = k3()
-    with pytest.raises(TruncationError) as exc_info:
-        _series_action(g.matvec, RESOLVENT, 0.45, np.ones(3), 1e-10, 5, 0.9)
-    err = exc_info.value
-    assert err.best is not None
-    assert err.bound is not None and err.bound > 0
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +131,17 @@ def test_exponential_overflow_names_its_cause():
         exp_action(k3(), 400.0, np.ones(3))
     with pytest.raises(DomainError, match="overflows float64 at beta = 400"):
         fa_diagonal(k3(), EXPONENTIAL, 400.0)
+
+
+def test_nan_taylor_sum_names_overflow_at_once():
+    # every entry of v is finite, but the terms overflow to +-inf and the
+    # running sum turns NaN: a float64 overflow, named at once
+    g = connected_erdos_renyi(7, 0.6, 0)
+    v = 1.7e308 * (-1.0) ** np.arange(7)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="overflows float64"):
+        exp_action(g, 1.0, v)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_exp_action_matches_dense_exponential():
@@ -269,8 +245,7 @@ def test_diagonal_rejects_directed_and_bad_t():
 
 
 def test_diagonal_rejects_a_function_without_a_closed_form():
-    halved = SeriesFunction(kind="geometric-half", radius=2.0,
-                            ratio=lambda k: 0.5)  # 1 / (1 - x/2)
+    halved = SeriesFunction(kind="geometric-half", radius=2.0)
     with pytest.raises(ValidationError, match="'geometric-half'"):
         fa_diagonal(k3(), halved, 0.5)
 
