@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +46,9 @@ from .graph import (
     Graph,
     _accepts,
     _first_rejected,
+    _Lines,
     _loadtxt,
+    _numbered,
     _read_lines,
     load_edge_list,
     load_matrix_market,
@@ -195,21 +198,25 @@ def _preference_column(lines: list[str]) -> np.ndarray:
     return cols[:, 0]
 
 
+def _preference_weights(spec: str, lines: _Lines) -> np.ndarray:
+    if not lines.text:
+        return np.empty(0)
+    try:
+        return _preference_column(lines.text)
+    except ValueError:
+        text, number = _numbered(lines)[:2]
+    at = _first_rejected(text, _preference_column)
+    raise ValidationError(
+        f"{spec}:{number[at]}: preference weight must be a number, got "
+        f"{text[at]!r}")
+
+
 def _load_preference(spec: str, n: int) -> np.ndarray | None:
     """The weights of a preference file, one number per non-blank line in
     the loaders' grammar (:mod:`walkrank.graph`), rescaled to sum 1."""
     if spec == "uniform":
         return None
-    lines = _read_lines(spec, ())
-    v = np.empty(0)
-    if lines.text:
-        try:
-            v = _preference_column(lines.text)
-        except ValueError:
-            at = _first_rejected(lines.text, _preference_column)
-            raise ValidationError(
-                f"{spec}:{lines.number[at]}: preference weight must be a "
-                f"number, got {lines.text[at]!r}") from None
+    v = _read_lines(spec, (), partial(_preference_weights, spec))
     if v.shape[0] != n:
         raise ValidationError(
             f"preference file has {v.shape[0]} entries for a graph with "
@@ -328,18 +335,24 @@ def _read_score_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     a header when its node or score does not parse. Tokens follow the
     loaders' grammar (:mod:`walkrank.graph`).
     """
-    lines = _read_lines(path, ("#",))
+    return _read_lines(path, ("#",), partial(_score_rows, path))
+
+
+def _score_rows(path: str, lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
     cells = list(map(str.replace, lines.text, repeat(","), repeat(" ")))
-    text, number = lines.text, lines.number
-    if (cells and number[0] == 1 and len(cells[0].split()) >= 2
-            and not _accepts(_score_columns, cells[:1])):
-        cells, text, number = cells[1:], text[1:], number[1:]  # header row
+    skip = (cells and lines.start == 0 and len(cells[0].split()) >= 2
+            and not _accepts(_score_columns, [cells[0].strip()]))
+    if skip:
+        cells = cells[1:]  # header row
     if not cells:
         raise ValidationError(f"{path}: no score rows found")
     try:
         return _score_columns(cells)
     except ValueError:
-        at = _first_rejected(cells, _score_columns)
+        text, number = _numbered(lines)[:2]
+    if skip:
+        text, number = text[1:], number[1:]
+    at = _first_rejected(cells, _score_columns)
     where = f"{path}:{number[at]}: expected 'node score' columns"
     if len(cells[at].split()) < 2:
         raise ValidationError(where)

@@ -58,14 +58,17 @@ class Graph:
     """Immutable sparse graph over nodes ``0 .. n-1``.
 
     Use :meth:`from_edges` (or the loaders in this module) rather than the
-    raw constructor; the factory validates, merges duplicates, and
-    canonicalizes edge order. Its graphs keep the invariant that
-    ``src``/``dst`` (int64) and ``weight`` (float64) hold distinct edges
-    sorted by ``(src, dst)``, undirected ones as ``(min, max)``. So the
-    stored edges are the CSR of a directed ``A`` as they stand, and the
-    other sides need one ``argsort`` of ``(row, col)`` keys. A raw
-    constructor call that breaks the invariant costs that sort on every
-    side; its duplicate edges stay separate CSR entries, in no set order.
+    raw constructor; the factory validates, merges duplicates (their
+    weights sum left to right in input order), and canonicalizes edge
+    order with one unstable sort, redone stably only when an edge has
+    copies to merge (see :meth:`_from_arrays`). Its graphs keep the
+    invariant that ``src``/``dst`` (int64) and ``weight`` (float64) hold
+    distinct edges sorted by ``(src, dst)``, undirected ones as ``(min,
+    max)``. So the stored edges are the CSR of a directed ``A`` as they
+    stand, and the other sides need one ``argsort`` of ``(row, col)`` keys.
+    A raw constructor call that breaks the invariant costs that sort on
+    every side; its duplicate edges stay separate CSR entries, in no set
+    order.
 
     Data derived from the graph is computed once and kept in :meth:`memo`
     for the graph's lifetime: the CSR adjacency and its transpose, each
@@ -133,8 +136,11 @@ class Graph:
         check)`` (see :func:`_check_edges`), which returns the exception to
         raise, so that a file loader can name the line; without ``report``
         it is a :class:`ValidationError` naming the edge. Undirected edges
-        are stored as ``(min, max)``, duplicates sum their weights and edges
-        are sorted by ``(src, dst)``. ``node_labels`` defaults to
+        are stored as ``(min, max)`` and sorted by ``(src, dst)`` with one
+        unstable ``argsort`` of the ``src * n + dst`` keys, which orders
+        distinct edges fully. Only when the sorted keys hold a duplicate is
+        the sort redone stably, so that the copies of an edge sum their
+        weights left to right in array order. ``node_labels`` defaults to
         ``0..n-1``; it is built after the edge checks.
         """
         n = int(n)
@@ -147,16 +153,31 @@ class Graph:
                      report or partial(_edge_error, src, dst, weight, n))
         if not directed:
             src, dst = np.minimum(src, dst), np.maximum(src, dst)
-        # merge duplicates by summing weights, then sort lexicographically
         if src.shape[0]:
             key = src * n + dst
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            weight = weight[order]
-            uniq, start = np.unique(key, return_index=True)
-            weight = np.add.reduceat(weight, start)
-            src = uniq // n
-            dst = uniq % n
+            order = np.argsort(key)
+            sorted_key = key[order]
+            first = np.empty(key.shape[0], dtype=bool)
+            first[0] = True
+            np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+            if first.all():
+                weight = weight[order]
+            else:
+                # the copies of an edge sum left to right in array order,
+                # one step per copy of the most repeated edge
+                weight = weight[np.argsort(key, kind="stable")]
+                start = np.flatnonzero(first)
+                count = np.diff(start, append=key.shape[0])
+                total = weight[start]
+                k, more = 1, np.flatnonzero(count > 1)
+                while more.size:
+                    total[more] += weight[start[more] + k]
+                    k += 1
+                    more = more[count[more] > k]
+                weight = total
+                sorted_key = sorted_key[first]
+            src = sorted_key // n
+            dst = sorted_key % n
         else:
             src, dst, weight = src.copy(), dst.copy(), weight.copy()
 
@@ -307,38 +328,73 @@ def _open_text(path_or_file, mode="r"):
 
 
 class _Lines(NamedTuple):
-    """The data lines of a text file, stripped, with their 1-based line
-    numbers; ``count`` lines were read and ``first`` is line 1 as read."""
+    """The data lines of a text file. A numbered view holds them stripped,
+    without blank and comment lines, and ``number`` their 1-based line
+    numbers. A raw view (``number`` is None) holds the lines as read from
+    the first data line on, blank lines included. ``start`` is the index of
+    the first data line, ``count`` lines were read and ``first`` is line 1
+    as read."""
     text: list[str]
-    number: np.ndarray
+    number: np.ndarray | None
+    start: int
     count: int
     first: str
 
 
-def _read_lines(path_or_file, comments: tuple[str, ...]) -> _Lines:
-    """Read a file once and keep the lines that are neither blank nor start
-    with one of ``comments`` (after stripping).
+class _Renumber(Exception):
+    """A raw view cannot name a line: load the numbered view instead."""
+
+
+def _numbered(lines: _Lines) -> _Lines:
+    """``lines`` if it is numbered; raises :class:`_Renumber` otherwise."""
+    if lines.number is None:
+        raise _Renumber
+    return lines
+
+
+def _read_lines(path_or_file, comments: tuple[str, ...], load):
+    """``load(lines)`` for the lines of a text file, read once.
 
     The text is split at ``\\n``, the line break of a file opened in text
-    mode with the default newline handling and of an ``io.StringIO``. The
-    split lines carry no line break, so stripping returns most of them
-    unchanged instead of copying every line.
+    mode with the default newline handling and of an ``io.StringIO``, and
+    then dropped, so that one copy of the file is held. Lines that are
+    blank or start with one of ``comments`` (after stripping) are not data.
+    When no comment marker follows the first data line, ``load`` first gets
+    the raw view: ``np.loadtxt`` skips blank lines and surrounding
+    whitespace itself, and a raw line that it reads differently from the
+    stripped one is rejected. A ``load`` that needs line numbers (to name a
+    bad line) raises :class:`_Renumber` through :func:`_numbered`; it then
+    runs again on the numbered view, which is built only in that case and
+    when a comment marker follows the first data line.
     """
     fh, should_close = _open_text(path_or_file)
     try:
-        raw = fh.read().split("\n")
+        text = fh.read()
     finally:
         if should_close:
             fh.close()
+    markers = sum(map(text.count, comments))
+    raw = text.split("\n")
+    del text
     if raw[-1] == "":
         raw.pop()  # the text ends with a line break, or is empty
+    count, first = len(raw), raw[0] if raw else ""
+    start = next((i for i, line in enumerate(raw)
+                  if (s := line.strip()) and not s.startswith(comments)),
+                 count)
+    head = raw[:start]
+    if markers == sum(line.count(c) for line in head for c in comments):
+        del raw[:start]
+        try:
+            return load(_Lines(raw, None, start, count, first))
+        except _Renumber:
+            raw[:0] = head
     stripped = list(map(str.strip, raw))
-    m = len(stripped)
-    keep = np.fromiter(map(bool, stripped), dtype=bool, count=m)
+    keep = np.fromiter(map(bool, stripped), dtype=bool, count=count)
     keep &= ~np.fromiter(map(str.startswith, stripped, repeat(comments)),
-                         dtype=bool, count=m)
-    return _Lines(list(compress(stripped, keep)), np.flatnonzero(keep) + 1,
-                  m, raw[0] if raw else "")
+                         dtype=bool, count=count)
+    return load(_Lines(list(compress(stripped, keep)),
+                       np.flatnonzero(keep) + 1, start, count, first))
 
 
 def _loadtxt(lines: list[str], dtype, usecols=None) -> np.ndarray:
@@ -350,9 +406,9 @@ def _loadtxt(lines: list[str], dtype, usecols=None) -> np.ndarray:
 
 def _parse_columns(lines: list[str], ncols: int):
     """Ids (the first two columns, int64) and weights (the third column,
-    float64, or ones when ``ncols == 2``) of lines that all have ``ncols``
-    columns; ``ValueError`` otherwise."""
-    if not lines:
+    float64, or ones when ``ncols == 2``) of the non-blank lines, which all
+    have ``ncols`` columns; ``ValueError`` otherwise."""
+    if not any(map(str.strip, lines)):
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
     if ncols == 2:
         cols = ids = _loadtxt(lines, np.int64)
@@ -361,7 +417,7 @@ def _parse_columns(lines: list[str], ncols: int):
         ids = _loadtxt(lines, np.int64, usecols=(0, 1))
     if cols.shape[1] != ncols:
         raise ValueError(f"expected {ncols} columns, got {cols.shape[1]}")
-    return ids, (cols[:, 2] if ncols == 3 else np.ones(len(lines)))
+    return ids, (cols[:, 2] if ncols == 3 else np.ones(ids.shape[0]))
 
 
 def _accepts(parse, lines: list[str]) -> bool:
@@ -442,7 +498,13 @@ def load_edge_list(path_or_file, *, directed: bool = False,
     one; on that line the checks run in the order column count, ids, ids
     below the base, self-loop, weight token, weight value.
     """
-    lines = _read_lines(path_or_file, ("#", "%"))
+    return _read_lines(path_or_file, ("#", "%"), partial(
+        _edge_list, directed=directed, weighted=weighted,
+        index_base=index_base, allow_loops=allow_loops))
+
+
+def _edge_list(lines: _Lines, *, directed: bool, weighted: bool | None,
+               index_base: int | None, allow_loops: bool) -> Graph:
     inferred = weighted is None
     if not inferred:
         ncols = 3 if weighted else 2
@@ -450,14 +512,14 @@ def load_edge_list(path_or_file, *, directed: bool = False,
         ncols = len(lines.text[0].split())
         if ncols not in (2, 3):
             raise GraphParseError(f"expected 2 or 3 columns, got {ncols}",
-                                  int(lines.number[0]))
+                                  lines.start + 1)
     else:
         ncols = 2
     try:
         ids, weights = _parse_columns(lines.text, ncols)
         bad = None
     except ValueError:
-        bad = _malformed(lines.text, ncols)
+        bad = _malformed(_numbered(lines).text, ncols)
         ids, weights = bad.ids, bad.weights
     lowest = 0 if index_base is None else index_base
     base = index_base
@@ -466,7 +528,8 @@ def load_edge_list(path_or_file, *, directed: bool = False,
     n = max(int(ids.max()) - base + 1, 0) if ids.size else 0
 
     def report(k, check):
-        parts = lines.text[k].split()
+        text, number = _numbered(lines)[:2]
+        parts = text[k].split()
         if check == "range":
             message = f"node id below index base {lowest}"
         elif check == "loop":
@@ -474,7 +537,7 @@ def load_edge_list(path_or_file, *, directed: bool = False,
                        "(pass allow_loops=True to accept)")
         else:
             message = f"weight must be positive and finite, got {parts[2]}"
-        return GraphParseError(message, int(lines.number[k]))
+        return GraphParseError(message, int(number[k]))
 
     if bad is not None:
         _check_edges(n, ids[:, 0] - base, ids[:, 1] - base, weights,
@@ -520,7 +583,11 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
     shape, value token, value sign; then the entry count is checked against
     the size line, then self-loops.
     """
-    lines = _read_lines(path_or_file, ("%",))
+    return _read_lines(path_or_file, ("%",),
+                       partial(_matrix_market, allow_loops=allow_loops))
+
+
+def _matrix_market(lines: _Lines, *, allow_loops: bool) -> Graph:
     header = lines.first
     if not header.startswith("%%MatrixMarket"):
         raise FormatError("missing %%MatrixMarket header")
@@ -544,7 +611,7 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
 
     if not lines.text:
         raise GraphParseError("missing size line", lines.count + 1)
-    size_line, lineno = lines.text[0], int(lines.number[0])
+    size_line, lineno = lines.text[0].strip(), lines.start + 1
     parts = size_line.split()
     if len(parts) != 3:
         raise GraphParseError(
@@ -558,12 +625,13 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
         raise ValidationError(
             f"adjacency matrix must be square, got {nrows}x{ncols}")
 
-    body, numbers = lines.text[1:], lines.number[1:]
+    body = lines.text[1:]
     want = 2 if field == "pattern" else 3
     try:
         ids, values = _parse_columns(body, want)
         bad = None
     except ValueError:
+        body = _numbered(lines).text[1:]
         bad = _malformed(body, want)
         ids, values = bad.ids, bad.weights
     outside = ((ids < 1) | (ids > nrows)).any(axis=1)
@@ -571,16 +639,16 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
     wrong = np.flatnonzero(outside | negative)
     if wrong.size:
         k = int(wrong[0])
+        lineno = int(_numbered(lines).number[k + 1])
         if outside[k]:
             i, j = ids[k].tolist()
             raise GraphParseError(
                 f"entry ({i}, {j}) outside declared {nrows}x{ncols} shape",
-                int(numbers[k]))
+                lineno)
         raise GraphParseError(
-            f"negative or non-finite weight {float(values[k])}",
-            int(numbers[k]))
+            f"negative or non-finite weight {float(values[k])}", lineno)
     if bad is not None:
-        lineno = int(numbers[bad.at])
+        lineno = int(lines.number[bad.at + 1])
         if bad.fault == "columns":
             raise GraphParseError(
                 f"expected {want} fields, got {len(bad.tokens)}", lineno)
@@ -591,9 +659,9 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
             raise GraphParseError(
                 f"value must be a number, got {bad.tokens[2]!r}", lineno)
         raise GraphParseError("line break inside the line", lineno)
-    if len(body) != nnz:
+    if ids.shape[0] != nnz:
         raise GraphParseError(
-            f"declared {nnz} entries but found {len(body)}", lines.count)
+            f"declared {nnz} entries but found {ids.shape[0]}", lines.count)
     stored = values != 0.0  # explicitly stored zeros are not edges
 
     def report(k, check):
@@ -602,7 +670,8 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
         at = int(np.flatnonzero(stored)[k])
         return GraphParseError(
             f"self-loop at node {int(ids[at, 0])} "
-            "(pass allow_loops=True to accept)", int(numbers[at]))
+            "(pass allow_loops=True to accept)",
+            int(_numbered(lines).number[at + 1]))
 
     return Graph._from_arrays(nrows, ids[stored, 0] - 1, ids[stored, 1] - 1,
                               values[stored],
@@ -617,15 +686,15 @@ def dump_edge_list(g: Graph, path_or_file) -> None:
     Weights are emitted only when some edge weight differs from 1. Note that
     nodes without any incident edge are not representable in this format.
     """
+    us = g.node_labels[g.src].tolist()
+    vs = g.node_labels[g.dst].tolist()
+    if g.weighted:
+        lines = map("{} {} {!r}\n".format, us, vs, g.weight.tolist())
+    else:
+        lines = map("{} {}\n".format, us, vs)
     fh, should_close = _open_text(path_or_file, "w")
     try:
-        labels = g.node_labels
-        if g.weighted:
-            for u, v, w in zip(g.src, g.dst, g.weight):
-                fh.write(f"{labels[u]} {labels[v]} {float(w)!r}\n")
-        else:
-            for u, v in zip(g.src, g.dst):
-                fh.write(f"{labels[u]} {labels[v]}\n")
+        fh.writelines(lines)
     finally:
         if should_close:
             fh.close()

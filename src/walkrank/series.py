@@ -139,9 +139,11 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
     Each step sums ``term_{k+1} = (step / (k+1)) M term_k`` from ``term_0 =
     w`` and stops after two consecutive terms with ``||term||_1 <= (tol/s)
     ||sum||_1``. Since ``step * ||M|| <= 1`` the terms decay like ``1/k!``
-    and the test is met unless the sum's 1-norm turns NaN (float64
-    overflow); such a sum is returned at once for the caller's overflow
-    check.
+    and the test is met unless the sum overflows float64. A sum with an
+    entry that is not finite is returned at once for the caller's overflow
+    check. A sum whose entries are finite but whose 1-norm overflows goes
+    on, with both norms of the test taken after dividing by its largest
+    entry.
     """
     s = 1
     while beta * norm_bound / s > 1.0:
@@ -157,9 +159,14 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
             k += 1
             w += term
             total = float(np.abs(w).sum())
-            if math.isnan(total):
-                return w
-            if float(np.abs(term).sum()) <= inner_tol * total:
+            size = float(np.abs(term).sum())
+            if not math.isfinite(total):
+                if not np.isfinite(w).all():
+                    return w
+                scale = float(np.abs(w).max())
+                total = float(np.abs(w / scale).sum())
+                size = float(np.abs(term / scale).sum())
+            if size <= inner_tol * total:
                 small += 1
             else:
                 small = 0

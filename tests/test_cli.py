@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import walkrank
+from walkrank import cli
 from walkrank.cli import main
 from walkrank.datasets import (
     SIX_NODE_PAGERANK_TABLE,
@@ -396,6 +397,17 @@ def test_sweep_exponential_overflow_exits_2(capsys):
     assert "overflows float64 at beta = 400" in err
 
 
+def test_compute_exponential_overflow_stops_at_the_first_inf_entry(capsys):
+    # beta * ||A|| needs 2^21 scaling steps; the sum overflows after a few
+    # thousand, and the run must stop there
+    start = time.perf_counter()
+    code, _, err = run(capsys, "compute", "--input", "builtin:karate",
+                       "--measure", "total-communicability", "--beta", "1e5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "overflows float64 at beta = 100000" in err
+
+
 def test_sweep_bad_grid_string_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--input", "builtin:karate",
                        "--measure", "katz", "--grid", "0.01,zap")
@@ -607,6 +619,57 @@ def test_compare_score_file_rules(capsys, tmp_path, case):
         assert (code, out, err) == (0, "0\n", "")
     else:
         assert (code, out, err) == (2, "", f"error: {path}{message}\n")
+
+
+def _reader_outcome(read, *args):
+    try:
+        arrays = read(*args)
+    except walkrank.ValidationError as exc:
+        return str(exc)
+    if not isinstance(arrays, tuple):
+        arrays = (arrays,)
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+def test_score_and_preference_readers_parse_first_like_the_numbered_view(
+        monkeypatch, tmp_path):
+    # comment-free files take the raw lines; the numbered view must agree
+    rng = np.random.default_rng(20253)
+    pads = [" ", "\t", "\x0c", "\xa0", "\x1c", "\x0b"]
+    tokens = ["x", "1.5", "1_0", "", "nan", "-0.5", "1e3"]
+    cases = []
+    for case in range(60):
+        m = int(rng.integers(1040, 1200)) if case % 6 == 0 else \
+            int(rng.integers(1, 20))
+        score = case % 2 == 0
+        rows = [[str(k), f"{rng.uniform(0, 5):.6g}"] if score
+                else [f"{rng.uniform(0, 5):.6g}"] for k in range(1, m + 1)]
+        if rng.random() < 0.5:
+            at = rng.choice([0, m - 1, min(m - 1, 1030)])
+            rows[at][int(rng.integers(0, len(rows[at])))] = str(
+                rng.choice(tokens))
+        lines = []
+        for row in rows:
+            if rng.random() < 0.05:
+                lines.append(str(rng.choice(pads)))
+            pad = "".join(rng.choice(pads, int(rng.integers(0, 2))))
+            lines.append(pad + str(rng.choice([",", " ", ", "])).join(row)
+                         + pad)
+        if score and rng.random() < 0.5:
+            lines.insert(0, "node,score,rank")
+        path = tmp_path / f"{case}.txt"
+        path.write_text("\n".join(lines) + "\n" * int(rng.integers(0, 2)),
+                        encoding="utf-8")
+        cases.append((cli._read_score_file, str(path)) if score
+                     else (cli._load_preference, str(path), m))
+    with monkeypatch.context() as patch:
+        read = cli._read_lines
+        patch.setattr(cli, "_read_lines", lambda path, comments, load: read(
+            path, comments, lambda lines: load(cli._numbered(lines))))
+        numbered = [_reader_outcome(*case) for case in cases]
+    assert 10 < sum(isinstance(o, str) for o in numbered) < 50
+    for case, want in zip(cases, numbered):
+        assert _reader_outcome(*case) == want, case
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -523,6 +524,200 @@ def test_weights_outside_the_float64_grammar_are_parse_errors(token):
     with pytest.raises(GraphParseError) as info:
         parse(f"1 2 1\n2 3 {token}\n")
     assert str(info.value) == f"line 2: weight must be a number, got {token!r}"
+
+
+# ---------------------------------------------------------------------------
+# parse-first path: raw lines of a comment-free file against the numbered view
+# ---------------------------------------------------------------------------
+
+def _with_view(monkeypatch, module, check):
+    """Make ``module``'s loaders pass every view of the lines through
+    ``check`` before loading it."""
+    read = module._read_lines
+
+    def read_checked(path_or_file, comments, load):
+        return read(path_or_file, comments, lambda lines: load(check(lines)))
+
+    monkeypatch.setattr(module, "_read_lines", read_checked)
+
+
+def _raw_only(lines):
+    assert lines.number is None, "a clean file built the numbered view"
+    return lines
+
+
+def _outcome(loader, text, **kw):
+    """The graph's arrays and dtypes, or the error's class, message and
+    line number."""
+    try:
+        g = loader(io.StringIO(text), **kw)
+    except (GraphParseError, FormatError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return g.n, g.directed, [(a.dtype, a.tobytes()) for a in
+                             (g.src, g.dst, g.weight, g.node_labels)]
+
+
+PAD = (" ", "\t", "\x0c", "\xa0", "\x1c", "\x0b", "\r", "\u3000")
+BAD_TOKENS = ("x", "1_0", "1.5", "-1", "0", "nan", "-inf", "\u0661", "1e0",
+              "9223372036854775808")
+
+
+def _raw_text(rng, rows):
+    """Comment-free lines: padding, whitespace-only lines, and ``\\n``,
+    ``\\r\\n`` or (rarely) ``\\r`` line ends."""
+    lines = []
+    for row in rows:
+        if rng.random() < 0.05:
+            lines.append("".join(rng.choice(PAD, int(rng.integers(0, 3)))))
+        pads = ["".join(rng.choice(PAD, int(rng.integers(0, 2))))
+                if rng.random() < 0.2 else "" for _ in range(2)]
+        lines.append(pads[0] + " ".join(row) + pads[1])
+    eol = rng.choice(["\n", "\r\n", "\r"], p=[0.6, 0.35, 0.05])
+    return eol.join(lines) + (eol if rng.random() < 0.7 else "")
+
+
+def _spoil(rng, rows):
+    """Put a bad token, or a column too many or too few, on the first row,
+    the last row or a row past the first 1024-line chunk."""
+    at = rng.choice([0, len(rows) - 1, min(len(rows) - 1, 1030)])
+    row = list(rows[at])
+    roll = rng.random()
+    if roll < 0.15:
+        row.append("1")
+    elif roll < 0.3:
+        row.pop()
+    else:
+        row[int(rng.integers(0, len(row)))] = str(rng.choice(BAD_TOKENS))
+    rows[at] = row
+
+
+def _random_rows(rng, n, m, ncols):
+    """``m`` rows of 1-based ids in ``1..n`` without self-loops, with a
+    weight column when ``ncols`` is 3."""
+    u = rng.integers(1, n + 1, m)
+    v = (u - 1 + rng.integers(1, n, m)) % n + 1
+    rows = [[str(a), str(b)] for a, b in zip(u.tolist(), v.tolist())]
+    if ncols == 3:
+        for row in rows:
+            row.append(str(rng.choice(WEIGHTS)))
+    return rows
+
+
+def test_parse_first_path_matches_the_numbered_view(monkeypatch):
+    rng = np.random.default_rng(20250)
+    cases = []
+    for case in range(160):
+        big = case % 8 == 0
+        n = int(rng.integers(2, 12))
+        m = int(rng.integers(1040, 1300)) if big else int(rng.integers(1, 30))
+        if case % 2:
+            ncols = int(rng.integers(2, 4))
+            rows = _random_rows(rng, n, m, ncols)
+            if rng.random() < 0.4:
+                _spoil(rng, rows)
+            kw = dict(directed=bool(rng.integers(0, 2)),
+                      weighted=rng.choice([None, None, None, ncols == 3]),
+                      index_base=rng.choice([None, 0, 1]),
+                      allow_loops=bool(rng.integers(0, 2)))
+            cases.append((load_edge_list, _raw_text(rng, rows), kw))
+        else:
+            field = rng.choice(["pattern", "real", "integer"])
+            rows = _random_rows(rng, n, m, 2 if field == "pattern" else 3)
+            if rng.random() < 0.4:
+                _spoil(rng, rows)
+            declared = m + int(rng.choice([0] * 8 + [1, -1]))
+            head = (f"%%MatrixMarket matrix coordinate {field} "
+                    f"{rng.choice(['general', 'symmetric'])}\n")
+            if rng.random() < 0.3:
+                head += "% generated\n\n"
+            text = head + _raw_text(rng, [[str(n), str(n), str(declared)]]
+                                    + rows)
+            cases.append((load_matrix_market, text,
+                          dict(allow_loops=bool(rng.integers(0, 2)))))
+
+    with monkeypatch.context() as patch:
+        _with_view(patch, graph_module, graph_module._numbered)
+        numbered = [_outcome(loader, text, **kw)
+                    for loader, text, kw in cases]
+    assert sum(isinstance(o[0], type) for o in numbered) > 40  # errors
+    assert sum(isinstance(o[0], int) for o in numbered) > 40  # graphs
+    for (loader, text, kw), want in zip(cases, numbered):
+        assert _outcome(loader, text, **kw) == want, (loader, text[:200], kw)
+
+
+def test_clean_file_loads_from_the_raw_lines(monkeypatch):
+    _with_view(monkeypatch, graph_module, _raw_only)
+    rows = [[str(k), str(k + 1), "0.5"] for k in range(1, 3000)]
+    text = "# a leading comment\n\n" + "\n".join(" ".join(r) for r in rows)
+    assert load_edge_list(io.StringIO(text)).m == 2999
+    text = ("%%MatrixMarket matrix coordinate real general\n% c\n"
+            "3000 3000 2999\n" + "\n".join(" ".join(r) for r in rows))
+    assert load_matrix_market(io.StringIO(text)).m == 2999
+    with warnings.catch_warnings():  # np.loadtxt warns on a blank body
+        warnings.simplefilter("error")
+        assert load_matrix_market(io.StringIO(
+            MM + "2 2 0\n\n \n")).m == 0
+    with pytest.raises(AssertionError, match="numbered view"):
+        load_edge_list(io.StringIO("1 2\n# c\n2 3\n"))
+
+
+# ---------------------------------------------------------------------------
+# duplicate edges
+# ---------------------------------------------------------------------------
+
+def test_duplicate_weights_sum_left_to_right_in_file_order():
+    # among enough other edges that an unstable sort would reorder the
+    # copies; np.add.reduceat would not sum them left to right
+    rng = np.random.default_rng(20251)
+    values = [0.1, 0.2, 0.3, 1e16, 0.7, 3.3, 1e-3, 2.5, 1e15, 0.25, 7.0]
+    others = [(u, u + 1, 1.0) for u in range(3, 300)]
+    sums = set()
+    for directed in (False, True):
+        for _ in range(40):
+            copies = rng.permutation(values[:int(rng.integers(3, 12))])
+            edges = [(1, 2, w) for w in copies.tolist()] + others
+            edges = [edges[k] for k in rng.permutation(len(edges))]
+            if not directed:  # either orientation is one undirected edge
+                edges = [(2, 1, w) if u == 1 and rng.random() < 0.5
+                         else (u, v, w) for u, v, w in edges]
+            want = 0.0
+            for u, v, w in edges:
+                if {u, v} == {1, 2}:
+                    want += w
+            sums.add(want)
+            text = "".join(f"{u} {v} {w!r}\n" for u, v, w in edges)
+            for g in (parse(text, directed=directed),
+                      Graph.from_edges(301, edges, directed=directed)):
+                first = g.node_labels[g.src] == 1
+                assert g.weight[first & (g.node_labels[g.dst] == 2)] == [want]
+    assert len(sums) > 10  # the order of the copies changes their sum
+
+
+# ---------------------------------------------------------------------------
+# dump
+# ---------------------------------------------------------------------------
+
+def _dump_per_edge(g):
+    """The edge list written one edge at a time from numpy labels."""
+    labels = g.node_labels
+    if g.weighted:
+        return "".join(f"{labels[u]} {labels[v]} {float(w)!r}\n"
+                       for u, v, w in zip(g.src, g.dst, g.weight))
+    return "".join(f"{labels[u]} {labels[v]}\n" for u, v in zip(g.src, g.dst))
+
+
+def test_dump_is_byte_identical_to_the_per_edge_formula(tmp_path):
+    rng = np.random.default_rng(20252)
+    g = erdos_renyi(60, 0.2, 5)
+    weighted = Graph._from_arrays(g.n, g.src, g.dst,
+                                  rng.uniform(1e-3, 1e3, g.m), directed=False,
+                                  node_labels=np.arange(g.n) * 7 - 3)
+    for graph in (karate(), weighted, six_node_digraph(),
+                  erdos_renyi(50, 0.1, 6, directed=True)):
+        want = _dump_per_edge(graph)
+        assert dumps_edge_list(graph) == want
+        dump_edge_list(graph, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt").read_bytes() == want.encode()
 
 
 # ---------------------------------------------------------------------------
