@@ -54,7 +54,8 @@ from .graph import (
     load_matrix_market,
 )
 from .measures import MEASURES, SWEEPABLE
-from .pagerank import build_model, pagerank_power, small_alpha_limit
+from .pagerank import (_check_preference_entries, build_model,
+                       pagerank_power, small_alpha_limit)
 from .ranking import (_resolve_depth, convergence_report,
                       intersection_distance, limit_sweep, rank)
 from .spectral import DEFAULT_TOL, _check_tol
@@ -221,8 +222,7 @@ def _load_preference(spec: str, n: int) -> np.ndarray | None:
         raise ValidationError(
             f"preference file has {v.shape[0]} entries for a graph with "
             f"{n} nodes")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise ValidationError("preference entries must be finite and >= 0")
+    _check_preference_entries(v)
     total = float(v.sum())
     if total <= 0:
         raise ValidationError("preference must have positive total mass")

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .graph import Graph, degrees, is_connected
 from .pagerank import (
     ALPHA_CAP,
@@ -47,6 +47,7 @@ from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     _check_tol,
+    _power_loop,
     dominant_eigenpair,
 )
 
@@ -182,14 +183,14 @@ def total_communicability(g: Graph, beta: float = DEFAULT_BETA,
 def hits(g: Graph, *, tol: float = DEFAULT_TOL,
          max_iter: int = DEFAULT_MAX_ITER) -> tuple[CentralityVector,
                                                     CentralityVector]:
-    """Hub and authority scores by alternating power iteration.
+    """Hub and authority scores.
 
-    Hubs are the dominant eigenvector of ``A A^T``, authorities of
-    ``A^T A``; each half-step normalizes in 2-norm, and convergence is
-    declared when the Rayleigh quotient of ``A A^T`` at the hub iterate has
-    residual below ``tol`` relative to itself. Requires a (weakly) connected
-    graph with at least one edge; entries can be zero for nodes that play
-    only one of the two roles.
+    Hubs are the dominant eigenvector of ``A A^T``, found by the power loop
+    of :mod:`walkrank.spectral` and declared converged when the residual of
+    its Rayleigh quotient ``sigma`` falls to ``tol * sigma``; authorities
+    are ``A^T h`` normalized in 2-norm. Requires a (weakly) connected graph
+    with at least one edge; entries can be zero for nodes that play only one
+    of the two roles.
     """
     _check_tol(tol)
     if g.m == 0:
@@ -198,28 +199,11 @@ def hits(g: Graph, *, tol: float = DEFAULT_TOL,
         raise ValidationError(
             "HITS requires a connected graph (hub/authority scores decouple "
             "across components)")
-    n = g.n
-    h = np.full(n, 1.0 / np.sqrt(n))
-    a = np.zeros(n)
-    sigma = 0.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        a = g.matvec_t(h)
-        a_norm = np.linalg.norm(a)
-        a /= a_norm
-        h_new = g.matvec(a)
-        h_norm = np.linalg.norm(h_new)
-        h = h_new / h_norm
-        # Rayleigh quotient of A A^T at h, with its residual
-        w = g.matvec(g.matvec_t(h))
-        sigma = float(h @ w)
-        residual = float(np.linalg.norm(w - sigma * h))
-        if residual <= tol * max(sigma, np.finfo(float).tiny):
-            break
-    else:
-        raise ConvergenceError(
-            f"HITS did not reach tol={tol} within {max_iter} iterations "
-            f"(last residual {residual:.3e})", best=(h, a), residual=residual)
+    sigma, h, it, residual = _power_loop(
+        lambda x: g.matvec(g.matvec_t(x)), np.full(g.n, 1.0 / np.sqrt(g.n)),
+        0.0, tol, max_iter, "A A^T")
+    a = g.matvec_t(h)
+    a /= np.linalg.norm(a)
     meta = {"sigma": sigma, "iterations": it, "residual": residual}
     hubs = CentralityVector("hits-hub", _resolve_side(g, "broadcast")[0],
                             None, h, dict(meta))

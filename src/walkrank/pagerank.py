@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graph import Graph, degrees
-from .series import _check_parameter, _scaled_taylor
+from .series import _check_parameter, _neumann_solve, _scaled_taylor
 from .spectral import DEFAULT_TOL, _check_tol
 
 __all__ = [
@@ -91,6 +90,13 @@ def _inv_out(out: np.ndarray) -> np.ndarray:
     return 1.0 / np.where(out == 0.0, 1.0, out)
 
 
+def _check_preference_entries(v: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless every weight is finite, >= 0."""
+    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+        raise ValidationError(
+            "preference entries must be finite and non-negative")
+
+
 def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
                 preference=None) -> GoogleModel:
     """Assemble the Google matrix model for a graph.
@@ -121,9 +127,7 @@ def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
         if v.shape != (n,):
             raise ValidationError(
                 f"preference must have length {n}, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise ValidationError(
-                "preference entries must be finite and non-negative")
+        _check_preference_entries(v)
         if abs(float(v.sum()) - 1.0) > 1e-12:
             raise ValidationError(
                 f"preference must sum to 1 within 1e-12, got {v.sum()!r}")
@@ -170,13 +174,8 @@ def pagerank_linear(model: GoogleModel, *, tol: float = DEFAULT_TOL,
     """
     _check_tol(tol)
     indptr, indices, data = model.graph.adjacency_t()
-    x, _, diff = _kernels.neumann(indptr, indices,
-                                  data * model.inv_out[indices],
-                                  model.preference, model.alpha, tol, max_iter)
-    if diff > tol * float(np.abs(x).sum()):
-        raise ConvergenceError(
-            f"Neumann iteration did not reach tol={tol} within {max_iter} "
-            f"steps (last step {diff:.3e})", best=x / x.sum(), residual=diff)
+    x = _neumann_solve(indptr, indices, data * model.inv_out[indices],
+                       model.preference, model.alpha, tol, max_iter)
     return x / x.sum()
 
 

@@ -202,8 +202,16 @@ def resolvent_solve(g: Graph, alpha: float, v, *, tol: float = DEFAULT_TOL,
         lambda1 = dominant_eigenpair(g).lambda1
     _check_parameter("alpha", alpha, RESOLVENT, lambda1)
     indptr, indices, data = g.adjacency_t() if transpose else g.adjacency()
-    x, iterations, diff = _kernels.neumann(indptr, indices, data, v,
-                                           alpha, tol, max_iter)
+    return _neumann_solve(indptr, indices, data, v, alpha, tol, max_iter)
+
+
+def _neumann_solve(indptr, indices, data, v, alpha, tol, max_iter):
+    """``x = v + alpha * A x`` for the CSR matrix ``A`` by
+    :func:`_kernels.neumann`, checked: raises :class:`ConvergenceError`,
+    with the last iterate in ``best``, unless the last step met
+    ``||x_{m+1} - x_m||_1 <= tol * ||x_{m+1}||_1``."""
+    x, _, diff = _kernels.neumann(indptr, indices, data, v, alpha, tol,
+                                  max_iter)
     if diff > tol * float(np.abs(x).sum()):
         raise ConvergenceError(
             f"Neumann iteration did not reach tol={tol} within {max_iter} "

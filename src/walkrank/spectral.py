@@ -1,21 +1,18 @@
 """Dominant eigenpairs, second eigenvalues, and spectral gaps.
 
-All routines are matrix-free power iterations over
-:meth:`~walkrank.graph.Graph.matvec` and its transpose. For a connected
-graph with non-negative weights the dominant eigenvector is entrywise
-positive (Perron-Frobenius); iterating on ``A + I`` instead of ``A``
-removes the sign oscillation that plain power iteration suffers on
-bipartite graphs, without changing the eigenvectors.
+One matrix-free power loop, over :meth:`~walkrank.graph.Graph.matvec` and
+its transpose, finds all three dominant vectors of this package. It steps
+with ``M + shift I`` and stops on the residual of ``M``'s Rayleigh quotient:
 
-The second eigenvalue is the *algebraic* (signed) one: the largest
-eigenvalue of ``A`` restricted to the complement of the dominant
-eigenvector. After deflating the dominant pair we again iterate on a shifted
-operator, ``A + lambda1 * I``, whose spectrum on the complement is
-``lambda_k + lambda1 >= 0``; the shift makes the algebraically largest
-eigenvalue also the largest in magnitude, so the iteration is monotone and a
-Rayleigh quotient recovers the signed value. If the shifted operator
-annihilates the complement (e.g. a single edge, where the spectrum is
-``{lambda1, -lambda1}``), the second eigenvalue is ``-lambda1``.
+* ``A + I`` (``A^T + I`` on the left side) gives the dominant eigenpair,
+  entrywise positive on a connected graph (Perron-Frobenius); the unit
+  shift stops the sign oscillation of bipartite graphs.
+* the deflated ``A + lambda1 I`` gives the signed second eigenvalue: on the
+  complement of the dominant vector its spectrum ``lambda_k + lambda1`` is
+  ``>= 0``, so the algebraically largest eigenvalue is also the largest in
+  magnitude. A step that annihilates the iterate gives ``-lambda1`` (as on
+  a single edge).
+* ``A A^T`` gives the HITS hubs (:func:`walkrank.measures.hits`).
 """
 
 from __future__ import annotations
@@ -42,15 +39,14 @@ DEFAULT_MAX_ITER = 100_000
 
 @dataclass(frozen=True)
 class SpectralInfo:
-    """Result of a dominant-eigenpair computation.
-
-    ``dominant_vector`` is entrywise positive with unit 2-norm, and
-    read-only.
+    """Dominant eigenpair of :func:`dominant_eigenpair`: the eigenvalue
+    ``lambda1``, the read-only, entrywise positive unit eigenvector
+    ``dominant_vector``, the steps taken and the residual ``||A v - lambda1
+    v||_2`` (``A^T`` on the left side).
     """
 
     lambda1: float
     dominant_vector: np.ndarray
-    side: str  # "right" or "left"
     iterations: int
     residual: float
 
@@ -103,6 +99,38 @@ def dominant_eigenpair(g: Graph, *, side: str = "right",
                   lambda: _power_iteration(g, side, tol, max_iter))
 
 
+def _power_loop(op, x: np.ndarray, shift: float, tol: float, max_iter: int,
+                label: str, scale: float | None = None):
+    """Power iteration on ``M + shift I``, ``op(x) = M x``, from the unit
+    vector ``x``; returns ``(theta, x, iterations, residual)``.
+
+    Stops once the Rayleigh quotient ``theta = x^T M x`` has ``||M x - theta
+    x||_2 <= tol * scale`` (``scale`` defaults to ``theta``), or when a step
+    annihilates ``x`` (``||z||_2 <= 1e-12 * max(shift, |theta|)``): then
+    ``x`` is an eigenvector for ``-shift``. At the step limit raises
+    :class:`ConvergenceError` naming the operator ``label``, with the last
+    ``(theta, x, max_iter, residual)`` in ``best``.
+    """
+    theta = 0.0
+    residual = math.inf
+    for it in range(1, max_iter + 1):
+        mx = op(x)
+        theta = float(x @ mx)
+        residual = float(np.linalg.norm(mx - theta * x))
+        bound = theta if scale is None else scale
+        if residual <= tol * max(bound, np.finfo(float).tiny):
+            return theta, x, it, residual
+        mx += shift * x  # the step, in place; bitwise mx + x at shift 1
+        nrm = float(np.linalg.norm(mx))
+        if nrm <= 1e-12 * max(shift, abs(theta)):
+            return -shift, x, it, nrm
+        x = mx / nrm
+    raise ConvergenceError(
+        f"power iteration on {label} did not reach tol={tol} within "
+        f"{max_iter} steps (last residual {residual:.3e})",
+        best=(theta, x, max_iter, residual), residual=residual)
+
+
 def _power_iteration(g: Graph, side: str, tol: float,
                      max_iter: int) -> SpectralInfo:
     _require_irreducible(g)
@@ -110,84 +138,61 @@ def _power_iteration(g: Graph, side: str, tol: float,
     if n == 1:
         # single node: eigenvalue is the loop weight (0 without loops)
         lam = float(g.weight.sum()) if g.m else 0.0
-        return SpectralInfo(lam, np.ones(1), side, 0, 0.0)
+        return SpectralInfo(lam, np.ones(1), 0, 0.0)
+    right = side == "right"
+    try:
+        # the unit shift keeps bipartite graphs convergent
+        return SpectralInfo(*_power_loop(
+            g.matvec if right else g.matvec_t, np.full(n, 1.0 / np.sqrt(n)),
+            1.0, tol, max_iter, "A + I" if right else "A^T + I"))
+    except ConvergenceError as exc:
+        exc.best = SpectralInfo(*exc.best)
+        raise
 
-    matvec = g.matvec if side == "right" else g.matvec_t
-    x = np.full(n, 1.0 / np.sqrt(n))
 
-    lam = 0.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        ax = matvec(x)
-        lam = float(x @ ax)
-        residual = float(np.linalg.norm(ax - lam * x))
-        if residual <= tol * max(lam, np.finfo(float).tiny):
-            return SpectralInfo(lam, x, side, it, residual)
-        z = ax + x  # power step on A + I keeps bipartite graphs convergent
-        x = z / np.linalg.norm(z)
-    best = SpectralInfo(lam, x, side, max_iter, residual)
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} within {max_iter} steps "
-        f"(last residual {residual:.3e})", best=best, residual=residual)
+def _require_symmetric(g: Graph, name: str) -> None:
+    if g.directed:
+        raise UnsupportedOperationError(
+            f"{name} requires an undirected graph (the deflation step "
+            "relies on an orthogonal eigenbasis)")
 
 
 def second_eigenvalue(g: Graph, *, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      dominant: SpectralInfo | None = None) -> float:
+                      max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Signed second-largest eigenvalue of an undirected graph.
 
     Deflates the dominant pair, then power-iterates the shifted operator
-    ``A + lambda1 I`` on the orthogonal complement (see module docstring).
-    Pass a precomputed ``dominant`` to skip the first power iteration.
+    ``A + lambda1 I`` on the orthogonal complement (see module docstring),
+    stopping at ``||A x - lambda2 x||_2 <= tol * lambda1``.
     """
-    if g.directed:
-        raise UnsupportedOperationError(
-            "second_eigenvalue requires an undirected graph (the deflation "
-            "step relies on an orthogonal eigenbasis)")
+    _require_symmetric(g, "second_eigenvalue")
     if g.n < 2:
         raise ValidationError("second eigenvalue needs at least 2 nodes")
-    if dominant is None:
-        dominant = dominant_eigenpair(g, tol=tol, max_iter=max_iter)
+    dominant = dominant_eigenpair(g, tol=tol, max_iter=max_iter)
     lam1 = dominant.lambda1
     q1 = dominant.dominant_vector
 
-    # deterministic start: the coordinate axis least aligned with q1,
-    # projected onto the complement
+    def deflated(x):
+        # keep x (in place, for the loop's step) and A x in the complement
+        # of q1: roundoff along q1 would grow whenever lambda2 < 0
+        x -= (q1 @ x) * q1
+        ax = g.matvec(x)
+        ax -= (q1 @ ax) * q1
+        return ax
+
+    # deterministic start: the axis least aligned with q1, projected onto
+    # the complement (nonzero, as q1 is a positive unit vector and n >= 2)
     k = int(np.argmin(q1))
     x = -q1 * q1[k]
     x[k] += 1.0
-    nrm = np.linalg.norm(x)
-    if nrm < 1e-13:  # cannot happen for n >= 2 with unit q1, but be safe
-        raise ValidationError("degenerate start vector in deflation")
-    x /= nrm
-
-    annihilation_floor = 1e-12 * max(lam1, 1.0)
-    lam2 = 0.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        ax = g.matvec(x)
-        # re-orthogonalize A x against q1 to stop roundoff drift
-        ax -= (q1 @ ax) * q1
-        lam2 = float(x @ ax)
-        residual = float(np.linalg.norm(ax - lam2 * x))
-        if residual <= tol * max(lam1, np.finfo(float).tiny):
-            return lam2
-        z = ax + lam1 * x  # shifted step: spectrum on the complement is >= 0
-        z -= (q1 @ z) * q1
-        nrm = np.linalg.norm(z)
-        if nrm <= annihilation_floor:
-            # A + lambda1 I vanishes on the complement: lambda2 = -lambda1
-            return -lam1
-        x = z / nrm
-    raise ConvergenceError(
-        f"second-eigenvalue iteration did not reach tol={tol} within "
-        f"{max_iter} steps (last residual {residual:.3e})",
-        best=lam2, residual=residual)
+    x /= np.linalg.norm(x)
+    return _power_loop(deflated, x, lam1, tol, max_iter,
+                       "the deflated A + lambda1 I", scale=lam1)[0]
 
 
 def spectral_gap(g: Graph, *, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> float:
     """``lambda1 - lambda2`` for an undirected connected graph."""
-    info = dominant_eigenpair(g, tol=tol, max_iter=max_iter)
-    lam2 = second_eigenvalue(g, tol=tol, max_iter=max_iter, dominant=info)
-    return info.lambda1 - lam2
+    _require_symmetric(g, "spectral_gap")
+    lam2 = second_eigenvalue(g, tol=tol, max_iter=max_iter)
+    return dominant_eigenpair(g, tol=tol, max_iter=max_iter).lambda1 - lam2

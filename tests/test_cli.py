@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 import walkrank
-from walkrank import cli
+from walkrank import ValidationError, cli
 from walkrank.cli import main
 from walkrank.datasets import (
     SIX_NODE_PAGERANK_TABLE,
     SIX_NODE_PAGERANK_TOL,
+    six_node_digraph,
 )
 from walkrank.measures import MEASURES
+from walkrank.pagerank import build_model
 
 K3 = "1 2\n1 3\n2 3\n"
 
@@ -148,7 +150,6 @@ def test_compute_pagerank_preference_file(capsys, tmp_path):
     assert code == 0
     assert "rescaled" in err
     from oracles import dense_pagerank
-    from walkrank.datasets import six_node_digraph
 
     v = np.array([4, 1, 1, 1, 1, 1], dtype=float)
     expected = dense_pagerank(six_node_digraph(), 0.5, v / v.sum())
@@ -175,6 +176,21 @@ def test_compute_preference_file_rejects_non_number(capsys, tmp_path):
     assert code == 2
     assert f"{pref}:3:" in err and "'abc'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("weights", [[4, 1, 1, -1, 1, 1],
+                                     [4, 1, 1, float("nan"), 1, 1]])
+def test_compute_preference_sign_rule_matches_the_library(capsys, tmp_path,
+                                                          weights):
+    pref = tmp_path / "pref.txt"
+    pref.write_text("".join(f"{w}\n" for w in weights))
+    code, out, err = run(capsys, "compute", "--input", "builtin:six-node",
+                         "--measure", "pagerank", "--preference", str(pref))
+    with pytest.raises(ValidationError) as exc_info:
+        build_model(six_node_digraph(), 0.85,
+                    np.array(weights) / sum(weights))
+    assert code == 2 and out == ""
+    assert err == f"error: {exc_info.value}\n"  # no rescaling note first
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0661", "0.5 0.5"])

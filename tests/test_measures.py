@@ -190,6 +190,29 @@ def test_hits_validation():
         hits(karate(), max_iter=1)
 
 
+def test_hits_is_invariant_to_weight_scale():
+    g = karate()
+    edges = [(int(u), int(v), 1e-8 * float(w))
+             for u, v, w in zip(g.src, g.dst, g.weight)]
+    hubs, authorities = hits(g)
+    small_hubs, small_authorities = hits(Graph.from_edges(g.n, edges))
+    assert np.allclose(small_hubs.scores, hubs.scores, atol=1e-9)
+    assert np.allclose(small_authorities.scores, authorities.scores, atol=1e-9)
+    assert small_hubs.solver_meta["sigma"] == pytest.approx(
+        1e-16 * hubs.solver_meta["sigma"], rel=1e-9)
+
+
+def test_hits_takes_two_products_per_iteration(monkeypatch):
+    calls = []
+    for name in ("matvec", "matvec_t"):
+        product = getattr(Graph, name)
+        monkeypatch.setattr(
+            Graph, name,
+            lambda g, x, product=product: calls.append(1) or product(g, x))
+    hubs, _ = hits(karate())
+    assert len(calls) <= 2 * hubs.solver_meta["iterations"] + 1
+
+
 # ---------------------------------------------------------------------------
 # structural invariants shared by all measures
 # ---------------------------------------------------------------------------

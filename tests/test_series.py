@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from walkrank import (
     EXPONENTIAL,
     RESOLVENT,
     CapacityError,
+    ConvergenceError,
     DomainError,
     Graph,
     SeriesFunction,
@@ -23,10 +25,15 @@ from walkrank import (
     katz,
     limit_sweep,
     resolvent_solve,
+    second_eigenvalue,
 )
 from walkrank import _kernels
 from walkrank.datasets import karate
-from walkrank.generators import connected_erdos_renyi, strongly_connected_digraph
+from walkrank.generators import (
+    connected_erdos_renyi,
+    ring,
+    strongly_connected_digraph,
+)
 from walkrank.pagerank import (
     build_model,
     heat_kernel_rowsums,
@@ -397,3 +404,27 @@ def test_tolerance_outside_its_range_is_named_before_any_iteration(
         with pytest.raises(DomainError,
                            match="^tol must be positive and finite, got"):
             call()
+
+
+@pytest.mark.parametrize("method, call", [
+    ("power iteration on A \\+ I",
+     lambda: dominant_eigenpair(karate(), max_iter=1)),
+    # ring(9) is regular, so its dominant pair converges in one step
+    ("power iteration on the deflated A \\+ lambda1 I",
+     lambda: second_eigenvalue(ring(9), max_iter=1)),
+    ("power iteration on A A\\^T", lambda: hits(karate(), max_iter=1)),
+    ("Neumann iteration",
+     lambda: resolvent_solve(karate(), 0.1, np.ones(34), max_iter=1)),
+    ("Neumann iteration",
+     lambda: pagerank_linear(build_model(karate()), max_iter=1)),
+], ids=["dominant_eigenpair", "second_eigenvalue", "hits", "resolvent_solve",
+        "pagerank_linear"])
+def test_step_limit_errors_share_one_wording(method, call):
+    with pytest.raises(ConvergenceError) as exc_info:
+        call()
+    assert re.fullmatch(
+        rf"{method} did not reach tol=1e-10 within 1 steps \(last "
+        r"(residual|step) \d\.\d{3}e[+-]\d\d( in 1-norm)?\)",
+        str(exc_info.value))
+    assert exc_info.value.residual > 0
+    assert exc_info.value.best is not None

@@ -13,6 +13,7 @@ from walkrank import (
     second_eigenvalue,
     spectral_gap,
 )
+from walkrank import _kernels
 from walkrank import graph as graph_module
 from walkrank import spectral as spectral_module
 from walkrank.datasets import karate
@@ -52,7 +53,7 @@ def test_triangle_spectrum():
 def test_karate_spectrum():
     g = karate()
     info = dominant_eigenpair(g)
-    lam2 = second_eigenvalue(g, dominant=info)
+    lam2 = second_eigenvalue(g)
     assert info.lambda1 == pytest.approx(6.726, abs=1e-3)
     assert lam2 == pytest.approx(4.977, abs=1e-3)
     assert info.lambda1 - lam2 == pytest.approx(1.749, abs=2e-3)
@@ -152,14 +153,35 @@ def test_second_eigenvalue_rejects_directed_and_tiny():
         second_eigenvalue(Graph.from_edges(1, []))
 
 
+def test_spectral_gap_names_the_undirected_rule_before_any_iteration(
+        monkeypatch):
+    def no_iteration(*args):
+        raise AssertionError("iterated before checking undirectedness")
+
+    monkeypatch.setattr(_kernels, "csr_matvec", no_iteration)
+    for g in (Graph.from_edges(3, [(0, 1), (1, 2)], directed=True),
+              strongly_connected_digraph(20, 0.2, 3)):
+        with pytest.raises(UnsupportedOperationError,
+                           match="^spectral_gap requires an undirected"):
+            spectral_gap(g)
+
+
 def test_second_eigenvalue_matches_dense_spectrum():
     rng = np.random.default_rng(10)
-    for _ in range(10):
-        g = connected_erdos_renyi(int(rng.integers(3, 30)),
-                                  float(rng.uniform(0.3, 0.8)),
-                                  int(rng.integers(0, 2 ** 31)))
+    graphs = [connected_erdos_renyi(int(rng.integers(3, 30)),
+                                    float(rng.uniform(0.3, 0.8)),
+                                    int(rng.integers(0, 2 ** 31)))
+              for _ in range(10)]
+    # complete graphs with weights 1 +- 0.01 have lambda2 < 0 close to
+    # lambda3, where a deflation that lets q1 back in drifts to lambda2 ~ 0
+    graphs += [Graph.from_edges(n, [(u, v, 1.0 + rng.uniform(-0.01, 0.01))
+                                    for u in range(n)
+                                    for v in range(u + 1, n)])
+               for n in (8, 10, 12)]
+    for g in graphs:
         vals = np.linalg.eigvalsh(g.to_dense())
         assert second_eigenvalue(g) == pytest.approx(vals[-2], abs=1e-7)
+    assert all(np.linalg.eigvalsh(g.to_dense())[-2] < 0 for g in graphs[10:])
 
 
 def test_invalid_side_rejected():
