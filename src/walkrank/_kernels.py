@@ -1,11 +1,12 @@
 """Low-level numeric kernels on CSR arrays (``indptr``, ``indices``, ``data``).
 
-Everything hot in this package funnels through three vectorized numpy
+Everything hot in this package funnels through these vectorized numpy
 primitives:
 
 * ``csr_matvec``   -- ``y = A @ x``, given the row of each stored entry
   (``Graph.matvec`` passes the one its graph caches)
-* ``neumann``      -- the full fixed-point loop ``x <- v + alpha * A @ x``
+* ``fixed_point``  -- the loop ``x <- step(x)`` of every Neumann series
+* ``neumann``      -- ``fixed_point`` on ``x <- v + alpha * A @ x``
 * ``triangle_diag``-- ``diag(A^3)`` via sorted-row merge intersection
 
 Callers look them up as attributes of this module at each call, so they can
@@ -19,6 +20,7 @@ import numpy as np
 __all__ = [
     "get_backend",
     "csr_matvec",
+    "fixed_point",
     "neumann",
     "triangle_diag",
     "warmup",
@@ -39,29 +41,26 @@ def csr_matvec(indptr, indices, data, x, rows):
     return np.bincount(rows, weights=data * x[indices], minlength=n)
 
 
-def neumann(indptr, indices, data, v, alpha, tol, max_iter):
-    """Iterate ``x <- v + alpha * A @ x`` until the l1 step is small.
-
-    Returns ``(x, iterations, last_step_l1)``; the caller decides whether the
-    final step size actually met tolerance.
-    """
-    n = indptr.shape[0] - 1
-    rows = _row_index(indptr) if data.shape[0] else None
-    x = v.copy()
-    diff = np.inf
-    it = 0
-    while it < max_iter:
-        if rows is None:
-            y = v.copy()
-        else:
-            y = v + alpha * np.bincount(rows, weights=data * x[indices],
-                                        minlength=n)
+def fixed_point(step, x, tol, max_iter):
+    """Iterate ``x <- step(x)`` until ``||x_{m+1} - x_m||_1 <= tol *
+    ||x_{m+1}||_1``, for at most ``max_iter`` steps. Returns ``(x,
+    iterations, last_step_l1)``; the caller checks the last step."""
+    diff, it = np.inf, 0
+    for it in range(1, max_iter + 1):
+        y = step(x)
         diff = float(np.abs(y - x).sum())
         x = y
-        it += 1
         if diff <= tol * float(np.abs(x).sum()):
             break
     return x, it, diff
+
+
+def neumann(indptr, indices, data, v, alpha, tol, max_iter):
+    """:func:`fixed_point` on ``x <- v + alpha * A @ x`` from ``x = v``."""
+    rows = _row_index(indptr)
+    return fixed_point(lambda x: v + alpha * np.bincount(
+        rows, weights=data * x[indices], minlength=v.shape[0]),
+        v.copy(), tol, max_iter)
 
 
 def triangle_diag(indptr, indices, data):

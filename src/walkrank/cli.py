@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -437,16 +438,25 @@ def cmd_demo_pagerank(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if hasattr(args, "tol"):  # before the graph is read
-            _check_tol(args.tol, "--tol")
-        return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (WalkrankError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    seen = set()
+
+    def note(message, *_):  # each library warning once, as a note
+        if str(message) not in seen:
+            seen.add(str(message))
+            print(f"note: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = note
+        try:
+            if hasattr(args, "tol"):  # before the graph is read
+                _check_tol(args.tol, "--tol")
+            return args.func(args)
+        except ConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (WalkrankError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -309,8 +309,9 @@ def _hits(g, t, side, tol, **_):
 
 
 def _pagerank(g, alpha, side, tol, preference=None, **_):
-    scores = pagerank_power(build_model(g, alpha, preference), tol=tol)
-    return CentralityVector("pagerank", "broadcast", alpha, scores)
+    model = build_model(g, alpha, preference)  # alpha as clamped
+    return CentralityVector("pagerank", "broadcast", model.alpha,
+                            pagerank_power(model, tol=tol))
 
 
 def _heat_kernel(g, t, side, tol, preference=None, damping=None):

@@ -13,6 +13,11 @@ for dangling nodes so the inverse exists):
 
 ``P`` is never materialized: :meth:`GoogleModel.apply` evaluates ``P @ x``
 with one sparse matvec plus two rank-one corrections.
+
+PageRank is the resolvent family on the Google matrix, ``p = (1 - alpha)
+(I - alpha S)^{-1} v``: both solvers run the fixed-point loop of Katz,
+:func:`walkrank._kernels.fixed_point`, :func:`pagerank_power` on ``S`` and
+:func:`pagerank_linear` on ``H``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from . import _kernels
+from .errors import DomainError, ValidationError
 from .graph import Graph, degrees
-from .series import _check_parameter, _neumann_solve, _scaled_taylor
+from .series import _check_fixed_point, _check_parameter, _scaled_taylor
 from .spectral import DEFAULT_TOL, _check_tol
 
 __all__ = [
@@ -144,38 +150,32 @@ def pagerank_power(model: GoogleModel, *, tol: float = DEFAULT_TOL,
                    max_iter: int = 100_000) -> np.ndarray:
     """PageRank by power iteration ``p <- P p`` from ``p_0 = v``.
 
-    Stops when the 1-norm step falls to ``tol``; the result is normalized to
-    a probability vector (the iteration preserves the sum up to roundoff).
+    On probability vectors ``P p = alpha S p + (1 - alpha) v``: the
+    fixed-point loop of :func:`pagerank_linear` on ``S``, stopping at
+    ``||p_{m+1} - p_m||_1 <= tol * ||p_{m+1}||_1``. The result is normalized
+    to a probability vector (the loop preserves the sum up to roundoff).
     """
     _check_tol(tol)
-    p = model.preference.copy()
-    delta = math.inf
-    for _ in range(max_iter):
-        q = model.apply(p)
-        delta = float(np.abs(q - p).sum())
-        p = q
-        if delta <= tol:
-            return p / p.sum()
-    raise ConvergenceError(
-        f"PageRank power iteration did not reach tol={tol} within "
-        f"{max_iter} steps (last step {delta:.3e})", best=p / p.sum(),
-        residual=delta)
+    p = _check_fixed_point(_kernels.fixed_point(
+        model.apply, model.preference.copy(), tol, max_iter), tol,
+        "PageRank power iteration")
+    return p / p.sum()
 
 
 def pagerank_linear(model: GoogleModel, *, tol: float = DEFAULT_TOL,
                     max_iter: int = 2_000_000) -> np.ndarray:
     """PageRank via the linear system ``(I - alpha H) x = v``.
 
-    Runs the Neumann iteration ``x <- v + alpha H x`` and normalizes the
-    solution to sum 1. Equivalent to :func:`pagerank_power` whenever the
-    dangling correction is proportional to the preference — in particular
-    for the uniform preference (any graph) and for graphs without dangling
-    nodes.
+    The fixed-point loop of :func:`pagerank_power` on ``H`` instead of
+    ``S``, ``x <- v + alpha H x``, normalized to sum 1. The two agree when
+    the dangling mass that ``S`` returns is proportional to ``v``: for the
+    uniform preference, or a graph without dangling nodes.
     """
     _check_tol(tol)
-    indptr, indices, data = model.graph.adjacency_t()
-    x = _neumann_solve(indptr, indices, data * model.inv_out[indices],
-                       model.preference, model.alpha, tol, max_iter)
+    v = model.preference
+    x = _check_fixed_point(_kernels.fixed_point(
+        lambda x: v + model.alpha * model.h_matvec(x), v.copy(), tol,
+        max_iter), tol, "Neumann iteration")
     return x / x.sum()
 
 
@@ -199,6 +199,9 @@ def heat_kernel_rowsums(model: GoogleModel, t: float,
     the kernel mixes). The result is returned unscaled; divide by ``e^t``
     for a bounded quantity. Since the column sums of ``P`` are exactly 1,
     the scaling step count is the smallest power of two at or above ``t``.
+
+    Raises :class:`DomainError` naming ``t`` when ``t > 700``, or when the
+    sum overflows float64 below that (entry ``i`` grows like ``n pi_i e^t``).
     """
     if np.any(model.preference <= 0.0):
         raise ValidationError(
@@ -211,4 +214,4 @@ def heat_kernel_rowsums(model: GoogleModel, t: float,
     ones = np.ones(model.n)
     if t == 0.0:
         return ones
-    return _scaled_taylor(model.apply, t, 1.0, ones, tol)
+    return _scaled_taylor(model.apply, t, 1.0, ones, tol, "t", "P")

@@ -125,13 +125,13 @@ def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
     if beta == 0.0 or g.m == 0:
         return v.copy()
     matvec = g.matvec_t if transpose else g.matvec
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _scaled_taylor(matvec, beta, _norm_bound(g), v, tol)
-    return _check_exp_finite(w, beta)
+    return _scaled_taylor(matvec, beta, _norm_bound(g), v, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
-                   tol: float) -> np.ndarray:
+                   tol: float, name: str = "beta",
+                   op: str = "A") -> np.ndarray:
     """``exp(beta * M) v`` for the operator ``matvec`` with ``||M|| <=
     norm_bound``: ``s`` Taylor steps of ``exp((beta/s) M)``, ``s`` the
     smallest power of two with ``beta * norm_bound / s <= 1``.
@@ -140,10 +140,10 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
     w`` and stops after two consecutive terms with ``||term||_1 <= (tol/s)
     ||sum||_1``. Since ``step * ||M|| <= 1`` the terms decay like ``1/k!``
     and the test is met unless the sum overflows float64. A sum with an
-    entry that is not finite is returned at once for the caller's overflow
-    check. A sum whose entries are finite but whose 1-norm overflows goes
-    on, with both norms of the test taken after dividing by its largest
-    entry.
+    entry that is not finite raises :class:`DomainError` at once, naming
+    the parameter ``name`` and the operator ``op``. A sum whose entries
+    are finite but whose 1-norm overflows goes on, with both norms of the
+    test taken after dividing by its largest entry.
     """
     s = 1
     while beta * norm_bound / s > 1.0:
@@ -161,8 +161,7 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
             total = float(np.abs(w).sum())
             size = float(np.abs(term).sum())
             if not math.isfinite(total):
-                if not np.isfinite(w).all():
-                    return w
+                _check_exp_finite(w, beta, name, op)
                 scale = float(np.abs(w).max())
                 total = float(np.abs(w / scale).sum())
                 size = float(np.abs(term / scale).sum())
@@ -173,13 +172,14 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
     return w
 
 
-def _check_exp_finite(scores: np.ndarray, beta: float) -> np.ndarray:
-    """Name float64 overflow of ``exp(beta * A)`` as the cause of inf/NaN."""
+def _check_exp_finite(scores: np.ndarray, t: float, name: str = "beta",
+                      op: str = "A") -> np.ndarray:
+    """Name float64 overflow of ``exp(name * op)`` as the cause of inf/NaN."""
     if not np.all(np.isfinite(scores)):
         raise DomainError(
-            f"exp(beta*A) overflows float64 at beta = {beta:.12g}: its "
-            "entries grow like exp(beta*lambda1), past the float64 range "
-            "once beta*lambda1 exceeds ~709; use a smaller beta")
+            f"exp({name}*{op}) overflows float64 at {name} = {t:.12g}: its "
+            f"entries grow like exp({name}*lambda1), past the float64 range "
+            f"once {name}*lambda1 exceeds ~709; use a smaller {name}")
     return scores
 
 
@@ -202,20 +202,20 @@ def resolvent_solve(g: Graph, alpha: float, v, *, tol: float = DEFAULT_TOL,
         lambda1 = dominant_eigenpair(g).lambda1
     _check_parameter("alpha", alpha, RESOLVENT, lambda1)
     indptr, indices, data = g.adjacency_t() if transpose else g.adjacency()
-    return _neumann_solve(indptr, indices, data, v, alpha, tol, max_iter)
+    return _check_fixed_point(_kernels.neumann(
+        indptr, indices, data, v, alpha, tol, max_iter), tol,
+        "Neumann iteration")
 
 
-def _neumann_solve(indptr, indices, data, v, alpha, tol, max_iter):
-    """``x = v + alpha * A x`` for the CSR matrix ``A`` by
-    :func:`_kernels.neumann`, checked: raises :class:`ConvergenceError`,
-    with the last iterate in ``best``, unless the last step met
-    ``||x_{m+1} - x_m||_1 <= tol * ||x_{m+1}||_1``."""
-    x, _, diff = _kernels.neumann(indptr, indices, data, v, alpha, tol,
-                                  max_iter)
+def _check_fixed_point(result, tol: float, label: str) -> np.ndarray:
+    """``x`` of a :func:`_kernels.fixed_point` result ``(x, steps,
+    last_step)``; a :class:`ConvergenceError` naming ``label``, with ``x`` in
+    ``best``, unless the last step met its tolerance."""
+    x, steps, diff = result
     if diff > tol * float(np.abs(x).sum()):
         raise ConvergenceError(
-            f"Neumann iteration did not reach tol={tol} within {max_iter} "
-            f"steps (last step {diff:.3e} in 1-norm)", best=x, residual=diff)
+            f"{label} did not reach tol={tol} within {steps} steps "
+            f"(last step {diff:.3e} in 1-norm)", best=x, residual=diff)
     return x
 
 

@@ -142,6 +142,7 @@ def test_criterion_2_karate_spectrum(capsys):
           f" lambda2={lambda2:.6f} (4.977 +/- 1e-3) [{elapsed:.2f}s < 1s]")
 
 
+@pytest.mark.slow
 def test_criterion_3_undirected_limit_suite(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)
@@ -185,6 +186,7 @@ def test_criterion_3_undirected_limit_suite(capsys):
           f"tau=0.9999) {_limit_suite_clock(elapsed)}")
 
 
+@pytest.mark.slow
 def test_criterion_4_directed_limit_suite(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)

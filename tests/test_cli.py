@@ -76,6 +76,34 @@ def test_compute_pagerank_six_node_digits(capsys):
     assert [int(r.split(",")[0]) for r in rows] == [4, 6, 5, 2, 3, 1]
 
 
+CLAMP_NOTE = ("note: alpha=0.9995 clamped to 0.999: conditioning scales "
+              "like 1/(1-alpha) and rankings this close to the limit are "
+              "unstable\n")
+
+
+def test_compute_pagerank_reports_the_clamped_alpha(capsys):
+    code, out, _ = run(capsys, "compute", "--input", "builtin:six-node",
+                       "--measure", "pagerank", "--alpha", "0.9995", "--json")
+    assert code == 0
+    assert json.loads(out)["parameter"] == 0.999
+    _, expected, _ = run(capsys, "compute", "--input", "builtin:six-node",
+                         "--measure", "pagerank", "--alpha", "0.999",
+                         "--json")
+    assert out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--measure", "pagerank", "--alpha", "0.9995"),
+    ("sweep", "--measure", "pagerank", "--grid", "0.5,0.9995"),
+    ("compute", "--measure", "heat-kernel", "--t", "1", "--alpha", "0.9995"),
+], ids=["compute", "sweep", "heat-kernel"])
+def test_library_warnings_print_once_as_notes(capsys, argv):
+    for _ in range(2):  # a second run in one process notes it again
+        code, _, err = run(capsys, *argv, "--input", "builtin:six-node")
+        assert code == 0
+        assert err == CLAMP_NOTE
+
+
 def test_compute_out_of_range_alpha_exits_2(capsys, k3_file):
     code, _, err = run(capsys, "compute", "--input", k3_file,
                        "--measure", "resolvent-subgraph", "--alpha", "99")

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +279,22 @@ def test_heat_kernel_validation():
     zero_pref = build_model(g, 0.85, preference=v)
     with pytest.raises(ValidationError, match="positive"):
         heat_kernel_rowsums(zero_pref, 1.0)
+
+
+def test_heat_kernel_overflow_below_the_t_cap_is_named_without_a_warning():
+    # entry 0 of exp(tP) 1 grows like n pi_0 e^t; with a self-loop on the
+    # hub, every other node pointing at it and alpha at the cap, pi_0 is
+    # about 0.999, so at n = 19 000 it passes float64's e^709.78 at t = 700
+    n = 19_000
+    g = Graph.from_edges(n, [(0, 0, 1.0)] + [(i, 0, 1.0) for i in range(1, n)],
+                         directed=True, allow_loops=True)
+    model = build_model(g, 0.999)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError,
+                           match=r"^exp\(t\*P\) overflows float64 at t = 700:"
+                                 r".*; use a smaller t$"):
+            heat_kernel_rowsums(model, 700.0, tol=1e-3)
 
 
 def test_heat_kernel_ranking_approaches_pagerank():

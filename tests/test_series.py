@@ -417,14 +417,17 @@ def test_tolerance_outside_its_range_is_named_before_any_iteration(
      lambda: resolvent_solve(karate(), 0.1, np.ones(34), max_iter=1)),
     ("Neumann iteration",
      lambda: pagerank_linear(build_model(karate()), max_iter=1)),
+    ("PageRank power iteration",
+     lambda: pagerank_power(build_model(karate()), max_iter=1)),
 ], ids=["dominant_eigenpair", "second_eigenvalue", "hits", "resolvent_solve",
-        "pagerank_linear"])
+        "pagerank_linear", "pagerank_power"])
 def test_step_limit_errors_share_one_wording(method, call):
     with pytest.raises(ConvergenceError) as exc_info:
         call()
+    number = r"\d\.\d{3}e[+-]\d\d"
     assert re.fullmatch(
         rf"{method} did not reach tol=1e-10 within 1 steps \(last "
-        r"(residual|step) \d\.\d{3}e[+-]\d\d( in 1-norm)?\)",
+        rf"(residual {number}|step {number} in 1-norm)\)",
         str(exc_info.value))
     assert exc_info.value.residual > 0
     assert exc_info.value.best is not None
