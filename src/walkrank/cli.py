@@ -22,7 +22,6 @@ import json
 import sys
 import warnings
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -47,7 +46,6 @@ from .graph import (
     Graph,
     _accepts,
     _first_rejected,
-    _Lines,
     _loadtxt,
     _numbered,
     _read_lines,
@@ -200,25 +198,20 @@ def _preference_column(lines: list[str]) -> np.ndarray:
     return cols[:, 0]
 
 
-def _preference_weights(spec: str, lines: _Lines) -> np.ndarray:
-    if not lines.text:
-        return np.empty(0)
-    try:
-        return _preference_column(lines.text)
-    except ValueError:
-        text, number = _numbered(lines)[:2]
-    at = _first_rejected(text, _preference_column)
-    raise ValidationError(
-        f"{spec}:{number[at]}: preference weight must be a number, got "
-        f"{text[at]!r}")
-
-
 def _load_preference(spec: str, n: int) -> np.ndarray | None:
     """The weights of a preference file, one number per non-blank line in
     the loaders' grammar (:mod:`walkrank.graph`), rescaled to sum 1."""
     if spec == "uniform":
         return None
-    v = _read_lines(spec, (), partial(_preference_weights, spec))
+    lines = _read_lines(spec, ())
+    try:
+        v = _preference_column(lines.text) if lines.text else np.empty(0)
+    except ValueError:
+        text, number = _numbered(lines)[:2]
+        at = _first_rejected(text, _preference_column)
+        raise ValidationError(
+            f"{spec}:{number[at]}: preference weight must be a number, got "
+            f"{text[at]!r}") from None
     if v.shape[0] != n:
         raise ValidationError(
             f"preference file has {v.shape[0]} entries for a graph with "
@@ -321,7 +314,7 @@ def cmd_sweep(args) -> int:
 
 
 def _score_columns(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    if not all(map(str.split, cells)):  # np.loadtxt would skip the line
+    if any(map(str.isspace, cells)):  # np.loadtxt would skip the line
         raise ValueError("a line of separators only")
     return (_loadtxt(cells, np.int64, usecols=(0,))[:, 0],
             _loadtxt(cells, np.float64, usecols=(1,))[:, 0])
@@ -334,26 +327,22 @@ def _read_score_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     Columns are separated by commas or whitespace, ``#`` lines and blank
     lines are skipped, later columns are ignored, and line 1 is skipped as
     a header when its node or score does not parse. Tokens follow the
-    loaders' grammar (:mod:`walkrank.graph`).
+    loaders' grammar (:mod:`walkrank.graph`). The lines are numbered before
+    the parse: a line of commas is blank once its commas are spaces, so
+    only the numbered view, which holds no blank line, tells it apart.
     """
-    return _read_lines(path, ("#",), partial(_score_rows, path))
-
-
-def _score_rows(path: str, lines: _Lines) -> tuple[np.ndarray, np.ndarray]:
-    cells = list(map(str.replace, lines.text, repeat(","), repeat(" ")))
-    skip = (cells and lines.start == 0 and len(cells[0].split()) >= 2
-            and not _accepts(_score_columns, [cells[0].strip()]))
-    if skip:
-        cells = cells[1:]  # header row
+    lines = _numbered(_read_lines(path, ("#",)))
+    text, number = lines.text, lines.number
+    cells = list(map(str.replace, text, repeat(","), repeat(" ")))
+    if (cells and lines.start == 0 and len(cells[0].split()) >= 2
+            and not _accepts(_score_columns, cells[:1])):
+        text, number, cells = text[1:], number[1:], cells[1:]  # header row
     if not cells:
         raise ValidationError(f"{path}: no score rows found")
     try:
         return _score_columns(cells)
     except ValueError:
-        text, number = _numbered(lines)[:2]
-    if skip:
-        text, number = text[1:], number[1:]
-    at = _first_rejected(cells, _score_columns)
+        at = _first_rejected(cells, _score_columns)
     where = f"{path}:{number[at]}: expected 'node score' columns"
     if len(cells[at].split()) < 2:
         raise ValidationError(where)

@@ -341,31 +341,44 @@ class _Lines(NamedTuple):
     first: str
 
 
-class _Renumber(Exception):
-    """A raw view cannot name a line: load the numbered view instead."""
+# An ASCII text without these holds no whitespace but space, tab and "\n",
+# which np.loadtxt and str.split treat alike ("\r" ends a line for
+# np.loadtxt, so a "\r\n" text read from an io.StringIO fails to parse raw)
+_ODD_SPACE = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _numbered(lines: _Lines) -> _Lines:
-    """``lines`` if it is numbered; raises :class:`_Renumber` otherwise."""
-    if lines.number is None:
-        raise _Renumber
-    return lines
+def _numbered(lines: _Lines, comments: tuple[str, ...] = ()) -> _Lines:
+    """The numbered view of ``lines``: ``lines`` itself if it is numbered,
+    else its lines stripped, without blank lines and lines that start with
+    one of ``comments``, numbered from the first data line on. A raw view
+    holds no comment marker, so the loaders number it without
+    ``comments``."""
+    if lines.number is not None:
+        return lines
+    stripped = list(map(str.strip, lines.text))
+    count = len(stripped)
+    keep = np.fromiter(map(bool, stripped), dtype=bool, count=count)
+    keep &= ~np.fromiter(map(str.startswith, stripped, repeat(comments)),
+                         dtype=bool, count=count)
+    return lines._replace(text=list(compress(stripped, keep)),
+                          number=np.flatnonzero(keep) + lines.start + 1)
 
 
-def _read_lines(path_or_file, comments: tuple[str, ...], load):
-    """``load(lines)`` for the lines of a text file, read once.
+def _read_lines(path_or_file, comments: tuple[str, ...]) -> _Lines:
+    """The data lines of a text file, read once.
 
     The text is split at ``\\n``, the line break of a file opened in text
     mode with the default newline handling and of an ``io.StringIO``, and
     then dropped, so that one copy of the file is held. Lines that are
     blank or start with one of ``comments`` (after stripping) are not data.
-    When no comment marker follows the first data line, ``load`` first gets
-    the raw view: ``np.loadtxt`` skips blank lines and surrounding
-    whitespace itself, and a raw line that it reads differently from the
-    stripped one is rejected. A ``load`` that needs line numbers (to name a
-    bad line) raises :class:`_Renumber` through :func:`_numbered`; it then
-    runs again on the numbered view, which is built only in that case and
-    when a comment marker follows the first data line.
+
+    The raw view is returned when it parses like the numbered one: no
+    comment marker follows the first data line, and the text is ASCII with
+    no whitespace but space, tab and ``\\n``, the whitespace that
+    ``np.loadtxt`` and ``str.split`` share. ``np.loadtxt`` skips its blank
+    lines and surrounding whitespace itself, so a raw parse that fails
+    means the file is bad; the caller then names the line through
+    :func:`_numbered`. Every other file gets the numbered view at once.
     """
     fh, should_close = _open_text(path_or_file)
     try:
@@ -374,6 +387,7 @@ def _read_lines(path_or_file, comments: tuple[str, ...], load):
         if should_close:
             fh.close()
     markers = sum(map(text.count, comments))
+    plain = text.isascii() and not any(c in text for c in _ODD_SPACE)
     raw = text.split("\n")
     del text
     if raw[-1] == "":
@@ -382,19 +396,10 @@ def _read_lines(path_or_file, comments: tuple[str, ...], load):
     start = next((i for i, line in enumerate(raw)
                   if (s := line.strip()) and not s.startswith(comments)),
                  count)
-    head = raw[:start]
-    if markers == sum(line.count(c) for line in head for c in comments):
-        del raw[:start]
-        try:
-            return load(_Lines(raw, None, start, count, first))
-        except _Renumber:
-            raw[:0] = head
-    stripped = list(map(str.strip, raw))
-    keep = np.fromiter(map(bool, stripped), dtype=bool, count=count)
-    keep &= ~np.fromiter(map(str.startswith, stripped, repeat(comments)),
-                         dtype=bool, count=count)
-    return load(_Lines(list(compress(stripped, keep)),
-                       np.flatnonzero(keep) + 1, start, count, first))
+    head = sum(line.count(c) for line in raw[:start] for c in comments)
+    del raw[:start]  # blank and comment lines only
+    lines = _Lines(raw, None, start, count, first)
+    return lines if plain and markers == head else _numbered(lines, comments)
 
 
 def _loadtxt(lines: list[str], dtype, usecols=None) -> np.ndarray:
@@ -498,13 +503,7 @@ def load_edge_list(path_or_file, *, directed: bool = False,
     one; on that line the checks run in the order column count, ids, ids
     below the base, self-loop, weight token, weight value.
     """
-    return _read_lines(path_or_file, ("#", "%"), partial(
-        _edge_list, directed=directed, weighted=weighted,
-        index_base=index_base, allow_loops=allow_loops))
-
-
-def _edge_list(lines: _Lines, *, directed: bool, weighted: bool | None,
-               index_base: int | None, allow_loops: bool) -> Graph:
+    lines = _read_lines(path_or_file, ("#", "%"))
     inferred = weighted is None
     if not inferred:
         ncols = 3 if weighted else 2
@@ -519,7 +518,8 @@ def _edge_list(lines: _Lines, *, directed: bool, weighted: bool | None,
         ids, weights = _parse_columns(lines.text, ncols)
         bad = None
     except ValueError:
-        bad = _malformed(_numbered(lines).text, ncols)
+        lines = _numbered(lines)
+        bad = _malformed(lines.text, ncols)
         ids, weights = bad.ids, bad.weights
     lowest = 0 if index_base is None else index_base
     base = index_base
@@ -583,11 +583,7 @@ def load_matrix_market(path_or_file, *, allow_loops: bool = False) -> Graph:
     shape, value token, value sign; then the entry count is checked against
     the size line, then self-loops.
     """
-    return _read_lines(path_or_file, ("%",),
-                       partial(_matrix_market, allow_loops=allow_loops))
-
-
-def _matrix_market(lines: _Lines, *, allow_loops: bool) -> Graph:
+    lines = _read_lines(path_or_file, ("%",))
     header = lines.first
     if not header.startswith("%%MatrixMarket"):
         raise FormatError("missing %%MatrixMarket header")
@@ -631,7 +627,8 @@ def _matrix_market(lines: _Lines, *, allow_loops: bool) -> Graph:
         ids, values = _parse_columns(body, want)
         bad = None
     except ValueError:
-        body = _numbered(lines).text[1:]
+        lines = _numbered(lines)
+        body = lines.text[1:]
         bad = _malformed(body, want)
         ids, values = bad.ids, bad.weights
     outside = ((ids < 1) | (ids > nrows)).any(axis=1)
@@ -723,71 +720,92 @@ def degrees(g: Graph) -> Degrees:
     return Degrees(out, in_)
 
 
-def _tarjan_components(g: Graph) -> list[np.ndarray]:
-    """Strongly connected components (iterative Tarjan), as id arrays."""
-    n = g.n
-    indptr, indices = (a.tolist() for a in g.adjacency()[:2])
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = bytearray(n)
-    stack: list[int] = []
-    components: list[np.ndarray] = []
-    counter = 0
+def _views(g: Graph, sides: tuple[bool, ...]) -> list[tuple]:
+    """Memoryviews of ``(indptr, indices)`` of each CSR side in ``sides``
+    (``False`` for ``A``, ``True`` for ``A.T``). A view makes each id a
+    Python int only while it is read, where ``tolist`` would hold one int
+    object per stored entry for the whole pass."""
+    return [tuple(map(memoryview, g._csr(side)[:2])) for side in sides]
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # each frame is [node, next edge pointer]
-        work = [[root, indptr[root]]]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = 1
-        while work:
-            v, ptr = work[-1]
-            if ptr < indptr[v + 1]:
-                work[-1][1] = ptr + 1
-                w = indices[ptr]
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
+
+def _reach(views: list[tuple], root: int, seen, label: int) -> None:
+    """Set ``seen[w] = label`` for each node ``w`` that ``root`` reaches
+    along the edges of every CSR in ``views`` (see :func:`_views`) and
+    that ``seen`` does not hold yet, ``root`` included.
+
+    A stack walk: its cost is O(n + m) whatever the graph's diameter, and
+    it holds no more than the stack, where a list of the reached nodes
+    would keep one int object per node alive until the walk ends.
+    """
+    seen[root] = label
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for indptr, indices in views:
+            for w in indices[indptr[v]:indptr[v + 1]]:
+                if not seen[w]:
+                    seen[w] = label
                     stack.append(w)
-                    on_stack[w] = 1
-                    work.append([w, indptr[w]])
-                elif on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
+
+
+def _reach_count(g: Graph, sides: tuple[bool, ...]) -> int:
+    """Number of nodes reachable from node 0 along the edges of every CSR
+    side in ``sides``."""
+    seen = bytearray(g.n)
+    _reach(_views(g, sides), 0, seen, 1)
+    return seen.count(1)
+
+
+def _strong_components(g: Graph) -> np.ndarray:
+    """The strongly connected component of each node, numbered from 1
+    (Kosaraju).
+
+    Pass 1 lists the nodes in the order a depth-first walk over ``A``
+    finishes them; pass 2 runs :func:`_reach` over ``A.T`` from each node
+    not yet reached, latest finish first, and each walk marks one
+    component. Both passes keep their stacks on the heap, so no path is
+    too long.
+    """
+    [(indptr, indices)] = _views(g, (False,))
+    seen = bytearray(g.n)
+    finished = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        stack = [(root, iter(indices[indptr[root]:indptr[root + 1]]))]
+        while stack:
+            v, successors = stack[-1]
+            for w in successors:
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append((w, iter(indices[indptr[w]:indptr[w + 1]])))
+                    break
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = 0
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(np.sort(np.asarray(comp,
-                                                         dtype=np.int64)))
-    return components
+                stack.pop()
+                finished.append(v)
+    backward, component, count = _views(g, (True,)), [0] * g.n, 0
+    for v in reversed(finished):
+        if not component[v]:
+            count += 1
+            _reach(backward, v, component, count)
+    return np.asarray(component, dtype=np.int64)
 
 
 def largest_scc(g: Graph) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on the largest strongly connected component.
 
     Returns ``(subgraph, mapping)`` where ``mapping[new_id]`` is the original
-    internal id. Ties on size go to the component containing the smallest
-    original id. The subgraph keeps the parent's external labels.
+    internal id, ascending. Ties on size go to the component containing the
+    smallest original id. The subgraph keeps the parent's external labels.
     """
     if g.n == 0:
         raise ValidationError("largest_scc is undefined for an empty graph")
-    components = _tarjan_components(g)
-    best = max(components, key=lambda c: (len(c), -int(c[0])))
-    mapping = best  # sorted ascending already
-    in_comp = np.zeros(g.n, dtype=bool)
-    in_comp[mapping] = True
+    component = _strong_components(g)
+    # argmax takes the first node of a largest component: the smallest id
+    size = np.bincount(component)[component]
+    in_comp = component == component[np.argmax(size)]
+    mapping = np.flatnonzero(in_comp)
     new_id = np.full(g.n, -1, dtype=np.int64)
     new_id[mapping] = np.arange(len(mapping), dtype=np.int64)
 
@@ -797,30 +815,7 @@ def largest_scc(g: Graph) -> tuple[Graph, np.ndarray]:
                              directed=g.directed,
                              node_labels=g.node_labels[mapping],
                              allow_loops=True)
-    return sub, mapping.copy()
-
-
-def _reach_count(g: Graph, sides: tuple[bool, ...]) -> int:
-    """Number of nodes reachable from node 0 along the edges of every CSR
-    side in ``sides`` (``False`` for ``A``, ``True`` for ``A.T``).
-
-    A stack DFS over memoryviews of the sides' CSR: its cost is O(n + m)
-    whatever the graph's diameter. A view makes each id a Python int only
-    while it is read, where ``tolist`` would hold one int object per stored
-    entry for the whole pass.
-    """
-    adjacency = [tuple(map(memoryview, g._csr(side)[:2])) for side in sides]
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for indptr, indices in adjacency:
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-    return seen.count(1)
+    return sub, mapping
 
 
 def is_connected(g: Graph) -> bool:

@@ -191,6 +191,9 @@ def small_alpha_limit(g: Graph) -> np.ndarray:
     return g.matvec_t(_inv_out(degrees(g).out_degree))
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
+
 def heat_kernel_rowsums(model: GoogleModel, t: float,
                         *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Row sums ``exp(t P) 1``, computed scaled and matvec-only.
@@ -200,17 +203,21 @@ def heat_kernel_rowsums(model: GoogleModel, t: float,
     for a bounded quantity. Since the column sums of ``P`` are exactly 1,
     the scaling step count is the smallest power of two at or above ``t``.
 
-    Raises :class:`DomainError` naming ``t`` when ``t > 700``, or when the
-    sum overflows float64 below that (entry ``i`` grows like ``n pi_i e^t``).
+    Raises :class:`DomainError` naming ``t`` when the sum overflows
+    float64: at once for ``t > log(float64 max) = 709.78``, since the row
+    sums average ``e^t``, and from the Taylor sum below that (entry ``i``
+    grows like ``n pi_i e^t``, so a large graph overflows earlier).
     """
     if np.any(model.preference <= 0.0):
         raise ValidationError(
             "heat kernel requires a strictly positive preference vector")
     _check_parameter("t", t)
     _check_tol(tol)
-    if t > 700.0:
+    if t > _LOG_FLOAT_MAX:
         raise DomainError(
-            f"t={t} overflows float64 (row sums grow like e^t; keep t <= 700)")
+            f"exp(t*P) overflows float64 at t = {t:.12g}: its row sums "
+            f"average e^t, past the float64 range once t exceeds "
+            f"{_LOG_FLOAT_MAX:.5g}; use a smaller t")
     ones = np.ones(model.n)
     if t == 0.0:
         return ones

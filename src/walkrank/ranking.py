@@ -254,12 +254,15 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
     resolvent family and for pagerank's damping factor. A custom grid must
     be strictly increasing and lie inside the feasible interval.
 
-    References: the degree-like limit is the weighted out-/in-degree (for
-    pagerank: the row sums ``H 1``); the eigenvector-like limit is the
-    dominant right/left eigenvector (for pagerank: the ranking at the
-    damping cap 0.999). Reference rankings are tie-aligned before the
-    distance is taken, so a column reads 0 exactly when the candidate
-    matches that limit modulo reference ties.
+    References: the degree-like limit is the weighted out-/in-degree; for
+    pagerank it is the row sums ``H 1``, and for the two diagonal measures
+    the sums of squared weights ``sum_j w_ij^2``, since their entries are
+    ``1 + c t^2 sum_j w_ij^2 + ...`` (the degree when every weight is 1; a
+    self-loop would lead with ``t A_ii``, so it is rejected). The
+    eigenvector-like limit is the dominant right/left eigenvector (for
+    pagerank: the ranking at the damping cap 0.999). Reference rankings
+    are tie-aligned before the distance is taken, so a column reads 0
+    exactly when the candidate matches that limit modulo reference ties.
     """
     spec = MEASURES.get(measure)
     if spec is None or spec.sweep is None:
@@ -271,8 +274,16 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
         raise UnsupportedOperationError(
             f"{measure} is a walk-return diagonal and needs an undirected "
             "graph")
+    if spec.diagonal and np.any(g.src == g.dst):
+        raise UnsupportedOperationError(
+            f"{measure} sweep on a graph with a self-loop: the loop weight, "
+            "not a degree, leads its small-parameter limit")
 
     t_star, deg_scores, eig_scores = spec.sweep.limits(g, receive, tol)
+    if spec.diagonal:
+        squared = g.weight * g.weight
+        deg_scores = (np.bincount(g.src, squared, g.n)
+                      + np.bincount(g.dst, squared, g.n))
 
     if grid is None:
         grid = spec.sweep.default_grid(t_star)

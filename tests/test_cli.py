@@ -708,8 +708,8 @@ def test_score_and_preference_readers_parse_first_like_the_numbered_view(
                      else (cli._load_preference, str(path), m))
     with monkeypatch.context() as patch:
         read = cli._read_lines
-        patch.setattr(cli, "_read_lines", lambda path, comments, load: read(
-            path, comments, lambda lines: load(cli._numbered(lines))))
+        patch.setattr(cli, "_read_lines", lambda path, comments:
+                      cli._numbered(read(path, comments)))
         numbered = [_reader_outcome(*case) for case in cases]
     assert 10 < sum(isinstance(o, str) for o in numbered) < 50
     for case, want in zip(cases, numbered):

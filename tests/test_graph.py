@@ -535,8 +535,8 @@ def _with_view(monkeypatch, module, check):
     ``check`` before loading it."""
     read = module._read_lines
 
-    def read_checked(path_or_file, comments, load):
-        return read(path_or_file, comments, lambda lines: load(check(lines)))
+    def read_checked(path_or_file, comments):
+        return check(read(path_or_file, comments))
 
     monkeypatch.setattr(module, "_read_lines", read_checked)
 
@@ -661,6 +661,12 @@ def test_clean_file_loads_from_the_raw_lines(monkeypatch):
         load_edge_list(io.StringIO("1 2\n# c\n2 3\n"))
 
 
+def test_non_ascii_comment_loads_like_its_ascii_twin():
+    body = "1 2 0.5\n2 3 1.5\n3 1 2\n"
+    assert (_outcome(load_edge_list, "# caf\u00e9 \u2014 r\u00e9seau\n" + body)
+            == _outcome(load_edge_list, "# cafe - reseau\n" + body))
+
+
 # ---------------------------------------------------------------------------
 # duplicate edges
 # ---------------------------------------------------------------------------
@@ -754,7 +760,7 @@ def test_degree_sum_matches_edge_weight():
 # components
 # ---------------------------------------------------------------------------
 
-def test_tarjan_components_match_recursive_tarjan():
+def test_strong_components_match_recursive_tarjan():
     rng = np.random.default_rng(47)
     for _ in range(40):
         n = int(rng.integers(1, 40))
@@ -765,9 +771,10 @@ def test_tarjan_components_match_recursive_tarjan():
         indptr, indices, _ = g.adjacency()
         successors = [indices[indptr[v]:indptr[v + 1]].tolist()
                       for v in range(n)]
-        got = graph_module._tarjan_components(g)
-        assert [c.tolist() for c in got] == recursive_tarjan(n, successors)
-        assert all(c.dtype == np.int64 for c in got)
+        component = graph_module._strong_components(g)
+        got = [np.flatnonzero(component == c).tolist()
+               for c in range(1, component.max() + 1)]
+        assert sorted(got) == sorted(recursive_tarjan(n, successors))
 
 
 def test_largest_scc_of_six_node_fixture():
@@ -783,6 +790,15 @@ def test_largest_scc_tie_prefers_smallest_id():
     g = parse("1 2\n2 3\n", directed=True)  # three singleton components
     sub, mapping = largest_scc(g)
     assert list(mapping) == [0]
+    assert sub.n == 1 and sub.m == 0
+
+
+def test_largest_scc_of_a_long_path_needs_no_recursion():
+    n = 100_000  # n one-node components; a recursive walk would overflow
+    g = Graph._from_arrays(n, np.arange(n - 1), np.arange(1, n),
+                           np.ones(n - 1), directed=True)
+    sub, mapping = largest_scc(g)
+    assert mapping.tolist() == [0]
     assert sub.n == 1 and sub.m == 0
 
 

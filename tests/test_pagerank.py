@@ -273,8 +273,11 @@ def test_heat_kernel_validation():
     model = build_model(g, 0.85)
     with pytest.raises(DomainError):
         heat_kernel_rowsums(model, -1.0)
-    with pytest.raises(DomainError):
-        heat_kernel_rowsums(model, 701.0)
+    # the row sums stay finite up to t = 708 here (largest 6.3e307 there)
+    assert np.all(np.isfinite(heat_kernel_rowsums(model, 705.0)))
+    for t, name in ((720.0, "720"), (1.7e308, r"1\.7e\+308")):
+        with pytest.raises(DomainError, match=f"at t = {name}:"):
+            heat_kernel_rowsums(model, t)  # past log(float64 max) = 709.78
     v = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
     zero_pref = build_model(g, 0.85, preference=v)
     with pytest.raises(ValidationError, match="positive"):

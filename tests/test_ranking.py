@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from walkrank import (
     DomainError,
+    Graph,
     UnsupportedOperationError,
     ValidationError,
     convergence_report,
@@ -18,7 +19,10 @@ from walkrank import (
     rank,
 )
 from walkrank.datasets import karate, six_node_digraph
-from walkrank.generators import strongly_connected_digraph
+from walkrank.generators import (
+    connected_erdos_renyi,
+    strongly_connected_digraph,
+)
 from walkrank.measures import (
     EXP_FAMILY_GRID,
     MEASURES,
@@ -267,6 +271,31 @@ def test_sweep_small_parameter_restores_degree_ranking():
     sweep = limit_sweep(g, "exp-subgraph", grid=[1e-6])
     assert sweep.isim_to_degree[0] == 0.0
     assert math.isnan(sweep.isim_successive[0])
+
+
+def _reweighted(g, seed):
+    weight = np.random.default_rng(seed).uniform(0.1, 3.0, g.m)
+    return Graph(g.n, g.src, g.dst, weight, g.directed, g.node_labels)
+
+
+def test_weighted_diagonal_sweeps_start_at_the_squared_weights():
+    # [f(tA)]_ii = 1 + c t^2 sum_j w_ij^2 + ...: at a small parameter the
+    # diagonal measures rank by the squared weights, not by the degree
+    graphs = [_reweighted(karate(), 1)] + [
+        _reweighted(connected_erdos_renyi(30, 0.2, s), s) for s in range(20)]
+    for g in graphs:
+        lambda1 = dominant_eigenpair(g).lambda1
+        for measure, t in (("exp-subgraph", 1e-4),
+                           ("resolvent-subgraph", 1e-4 / lambda1)):
+            sweep = limit_sweep(g, measure, grid=[t])
+            assert sweep.isim_to_degree[0] == 0.0, (measure, g.n)
+
+
+def test_diagonal_sweep_rejects_a_self_loop():
+    g = Graph.from_edges(3, [(0, 0), (0, 1), (1, 2)], allow_loops=True)
+    for measure in ("exp-subgraph", "resolvent-subgraph"):
+        with pytest.raises(UnsupportedOperationError, match="self-loop"):
+            limit_sweep(g, measure)
 
 
 def test_sweep_endpoint_restores_eigenvector_ranking():
