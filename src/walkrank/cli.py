@@ -327,9 +327,10 @@ def _read_score_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     Columns are separated by commas or whitespace, ``#`` lines and blank
     lines are skipped, later columns are ignored, and line 1 is skipped as
     a header when its node or score does not parse. Tokens follow the
-    loaders' grammar (:mod:`walkrank.graph`). The lines are numbered before
-    the parse: a line of commas is blank once its commas are spaces, so
-    only the numbered view, which holds no blank line, tells it apart.
+    loaders' grammar (:mod:`walkrank.graph`). A node listed twice is named
+    at its second line. The lines are numbered before the parse: a line of
+    commas is blank once its commas are spaces, so only the numbered view,
+    which holds no blank line, tells it apart.
     """
     lines = _numbered(_read_lines(path, ("#",)))
     text, number = lines.text, lines.number
@@ -340,9 +341,19 @@ def _read_score_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     if not cells:
         raise ValidationError(f"{path}: no score rows found")
     try:
-        return _score_columns(cells)
+        nodes, scores = _score_columns(cells)
     except ValueError:
         at = _first_rejected(cells, _score_columns)
+    else:
+        ids = np.sort(nodes)
+        if np.all(ids[1:] != ids[:-1]):
+            return nodes, scores
+        first: dict[int, int] = {}
+        at = next(i for i, node in enumerate(nodes.tolist())
+                  if first.setdefault(node, i) != i)
+        node = int(nodes[at])
+        raise ValidationError(f"{path}:{number[at]}: node {node} appears "
+                              f"twice, first on line {number[first[node]]}")
     where = f"{path}:{number[at]}: expected 'node score' columns"
     if len(cells[at].split()) < 2:
         raise ValidationError(where)

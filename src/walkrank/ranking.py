@@ -83,6 +83,8 @@ def rank(scores, *, tie_tol: float = DEFAULT_TIE_TOL) -> Ranking:
 
     A tie group starts at every position whose score ``b`` differs from
     the previous score ``a`` by more than ``tie_tol * max(|a|, |b|)``.
+    One fast sort orders the scores; only when two are exactly equal does
+    one sort of the unique keys ``run * n + id`` order each run by id.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
@@ -90,8 +92,12 @@ def rank(scores, *, tie_tol: float = DEFAULT_TIE_TOL) -> Ranking:
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite to be ranked")
     n = scores.shape[0]
-    order = np.lexsort((np.arange(n), -scores)).astype(np.int64)
+    order = np.argsort(-scores).astype(np.int64, copy=False)
     s = scores[order]
+    new_run = s[:-1] != s[1:]
+    if not np.all(new_run):
+        run = np.concatenate([[0], np.cumsum(new_run)])
+        order = np.sort(run * n + order) % n
     breaks = np.abs(s[:-1] - s[1:]) > tie_tol * np.maximum(np.abs(s[:-1]),
                                                              np.abs(s[1:]))
     starts = np.flatnonzero(np.concatenate([[n > 0], breaks]))
@@ -121,9 +127,8 @@ def intersection_distance(a, b, k: int | None = None) -> float:
     ``isim_k = (1/k) * sum_{i=1..k} |A_i symdiff B_i| / (2 i)`` where
     ``A_i``/``B_i`` are the top-``i`` prefix sets. 0 means the prefixes
     agree as sets at every depth; 1 means the top-``k`` lists are disjoint.
-    Both arguments must rank the same set of node ids. The overlap
-    ``|A_i & B_i|`` counts the nodes whose later position in the two
-    rankings is below ``i``: one ``bincount`` and ``cumsum`` give all ``k``.
+    Both arguments must rank the same set of node ids, each once; one
+    ``np.unique`` checks this and labels them ``0..n-1`` for :func:`_isim`.
     """
     a = _as_order(a)
     b = _as_order(b)
@@ -132,16 +137,29 @@ def intersection_distance(a, b, k: int | None = None) -> float:
         raise ValidationError(
             f"rankings have different lengths: {n} vs {b.shape[0]}")
     uniq, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    # position of each node in a and in b; n marks a node one of them lacks
-    pos = np.full((2, uniq.shape[0]), n, dtype=np.int64)
-    pos[0, inv[:n]] = np.arange(n)
-    pos[1, inv[n:]] = np.arange(n)
-    later = pos.max(axis=0)
-    if uniq.shape[0] != n or np.any(later == n):
+    for which, ids in (("first", inv[:n]), ("second", inv[n:])):
+        repeated = np.bincount(ids, minlength=uniq.shape[0]) > 1
+        if repeated.any():
+            raise ValidationError(
+                f"the {which} ranking repeats node id "
+                f"{uniq[repeated.argmax()].item()!r}")
+    if uniq.shape[0] != n:
         raise ValidationError("rankings must cover the same set of node ids")
     k = _resolve_depth(k, n)
+    return _isim(np.maximum(_positions(inv[:n]), _positions(inv[n:])), k)
 
-    overlap = np.cumsum(np.bincount(later, minlength=n)[:k])
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    """Inverse permutation: ``pos[order[p]] = p``."""
+    pos = np.empty(order.shape[0], dtype=np.int64)
+    pos[order] = np.arange(order.shape[0])
+    return pos
+
+
+def _isim(later: np.ndarray, k: int) -> float:
+    """isim_k from ``later[v]``, the later of node ``v``'s two positions:
+    ``|A_i & B_i|`` counts the nodes with ``later < i``."""
+    overlap = np.cumsum(np.bincount(later, minlength=later.shape[0])[:k])
     terms = 1.0 - overlap / np.arange(1.0, k + 1.0)
     return float(np.cumsum(terms)[-1] / k)
 
@@ -168,20 +186,22 @@ def equal_modulo_ties(candidate, reference: Ranking) -> bool:
                 and np.array_equal(group_of_node[ids], group))
 
 
-def _align_to(reference: Ranking, candidate) -> np.ndarray:
-    """Reference order with each tie group re-sorted to the candidate's
-    relative order.
+def _align_to(reference: Ranking, pos: np.ndarray,
+              group: np.ndarray | None = None) -> np.ndarray:
+    """Reference order with each tie group re-sorted to the relative order
+    of a candidate whose position of node ``v`` is ``pos[v]``.
 
     The aligned order is the member of the reference's tie-equivalence class
-    closest to the candidate, so ``intersection_distance(candidate,
-    aligned)`` is 0 exactly when the candidate matches the reference modulo
-    its ties. One sort by (tie group, position in the candidate).
+    closest to the candidate, so its intersection distance to the candidate
+    is 0 exactly when the candidate matches the reference modulo its ties.
+    One sort of the unique keys ``group * n + pos``, ``group`` being
+    :func:`_group_at` of the reference; none when it has no ties.
     """
-    cand = _as_order(candidate)
-    pos = np.empty(cand.shape[0], dtype=np.int64)
-    pos[cand] = np.arange(cand.shape[0])
     ref = reference.order
-    return ref[np.lexsort((pos[ref], _group_at(reference)))]
+    if reference.tie_starts.shape[0] == reference.n:
+        return ref
+    group = _group_at(reference) if group is None else group
+    return ref[np.argsort(group * reference.n + pos[ref])]
 
 
 # ---------------------------------------------------------------------------
@@ -300,31 +320,28 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
 
     k = _resolve_depth(k, g.n)
 
-    ref_degree = rank(deg_scores, tie_tol=tie_tol)
-    ref_eigen = rank(eig_scores, tie_tol=tie_tol)
-
+    references = [(r, _group_at(r)) for r in
+                  (rank(deg_scores, tie_tol=tie_tol),
+                   rank(eig_scores, tie_tol=tie_tol))]
+    columns = np.full((3, grid.shape[0]), np.nan)
     previous = None
-    isim_deg = np.empty(grid.shape[0])
-    isim_eig = np.empty(grid.shape[0])
-    isim_succ = np.full(grid.shape[0], np.nan)
     for i, t in enumerate(grid):
         cv = spec.compute(g, float(t), side=side, tol=tol)
-        r = rank(cv.scores, tie_tol=tie_tol)
-        isim_deg[i] = intersection_distance(
-            r.order, _align_to(ref_degree, r.order), k)
-        isim_eig[i] = intersection_distance(
-            r.order, _align_to(ref_eigen, r.order), k)
+        pos = _positions(rank(cv.scores, tie_tol=tie_tol).order)
+        for column, (ref, group) in zip(columns, references):
+            aligned = _positions(_align_to(ref, pos, group))
+            column[i] = _isim(np.maximum(pos, aligned), k)
         if previous is not None:
-            isim_succ[i] = intersection_distance(r.order, previous.order, k)
-        previous = r
+            columns[2, i] = _isim(np.maximum(pos, previous), k)
+        previous = pos
 
     return SweepResult(
         measure=measure,
         side=cv.side,
         parameters=grid,
-        isim_to_degree=isim_deg,
-        isim_to_eigenvector=isim_eig,
-        isim_successive=isim_succ,
+        isim_to_degree=columns[0],
+        isim_to_eigenvector=columns[1],
+        isim_successive=columns[2],
         k=k,
         t_star=t_star,
     )

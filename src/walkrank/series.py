@@ -143,8 +143,14 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
     entry that is not finite raises :class:`DomainError` at once, naming
     the parameter ``name`` and the operator ``op``. A sum whose entries
     are finite but whose 1-norm overflows goes on, with both norms of the
-    test taken after dividing by its largest entry.
+    test taken after dividing by its largest entry. Past ``beta *
+    norm_bound = 2**1023`` the step count leaves float64 and no loop of
+    that many steps can end; there ``beta * lambda1`` exceeds 709 unless
+    ``lambda1 < 1e-305 * norm_bound``, so the same error is raised before
+    any step.
     """
+    if beta * norm_bound > 2.0 ** 1023:
+        raise _overflow(beta, name, op)
     s = 1
     while beta * norm_bound / s > 1.0:
         s *= 2
@@ -172,14 +178,19 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
     return w
 
 
+def _overflow(t: float, name: str = "beta", op: str = "A") -> DomainError:
+    """The error naming float64 overflow of ``exp(name * op)``."""
+    return DomainError(
+        f"exp({name}*{op}) overflows float64 at {name} = {t:.12g}: its "
+        f"entries grow like exp({name}*lambda1), past the float64 range "
+        f"once {name}*lambda1 exceeds ~709; use a smaller {name}")
+
+
 def _check_exp_finite(scores: np.ndarray, t: float, name: str = "beta",
                       op: str = "A") -> np.ndarray:
     """Name float64 overflow of ``exp(name * op)`` as the cause of inf/NaN."""
     if not np.all(np.isfinite(scores)):
-        raise DomainError(
-            f"exp({name}*{op}) overflows float64 at {name} = {t:.12g}: its "
-            f"entries grow like exp({name}*lambda1), past the float64 range "
-            f"once {name}*lambda1 exceeds ~709; use a smaller {name}")
+        raise _overflow(t, name, op)
     return scores
 
 

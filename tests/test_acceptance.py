@@ -54,6 +54,7 @@ from walkrank.pagerank import (
 )
 from walkrank.ranking import (
     _align_to,
+    _positions,
     convergence_report,
     intersection_distance,
     limit_sweep,
@@ -92,7 +93,7 @@ def _labels_in_rank_order(g, scores, tie_tol=1e-9):
 def _matches_reference(reference, scores):
     """Candidate ranking equals the reference up to reference tie groups."""
     candidate = rank(scores)
-    aligned = _align_to(reference, candidate)
+    aligned = _align_to(reference, _positions(candidate.order))
     return intersection_distance(aligned, candidate) == 0.0
 
 

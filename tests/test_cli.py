@@ -452,6 +452,16 @@ def test_compute_exponential_overflow_stops_at_the_first_inf_entry(capsys):
     assert "overflows float64 at beta = 100000" in err
 
 
+def test_compute_beta_past_the_taylor_step_range_exits_2(capsys):
+    code, out, err = run(capsys, "compute", "--synth", "ring", "--n", "3",
+                         "--measure", "total-communicability", "--beta",
+                         "1.7e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exp(beta*A) overflows float64 at beta = "
+                          "1.7e+308")
+    assert "Traceback" not in err
+
+
 def test_sweep_bad_grid_string_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--input", "builtin:karate",
                        "--measure", "katz", "--grid", "0.01,zap")
@@ -650,6 +660,8 @@ SCORE_FILES = {
                           ":2: expected 'node score' columns, got "
                           "'9223372036854775808,1'"),
     "no-rows": ("node,score\n# c\n", ": no score rows found"),
+    "repeated-node": ("node,score\n1,0.5\n2,1\n# c\n1,3\n2,2\n",
+                      ":5: node 1 appears twice, first on line 2"),
 }
 
 

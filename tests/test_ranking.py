@@ -21,6 +21,8 @@ from walkrank import (
 from walkrank.datasets import karate, six_node_digraph
 from walkrank.generators import (
     connected_erdos_renyi,
+    ring,
+    star,
     strongly_connected_digraph,
 )
 from walkrank.measures import (
@@ -28,7 +30,7 @@ from walkrank.measures import (
     MEASURES,
     RESOLVENT_FAMILY_FRACTIONS,
 )
-from walkrank.ranking import _align_to
+from walkrank.ranking import _align_to, _positions
 
 from oracles import (
     brute_align,
@@ -97,6 +99,19 @@ def test_rank_affine_invariance_property(values, a, b):
     assert list(rank(a * scores + b).order) == list(rank(scores).order)
 
 
+# values that make exact ties, signed zeros and subnormals common
+_TIE_PRONE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0,
+                              -1.0, 1.0 + 2.0 ** -52, 3.5, -3.5, 1e300])
+
+
+@settings(max_examples=300)
+@given(st.lists(_TIE_PRONE, min_size=0, max_size=40))
+def test_rank_order_is_the_stable_descending_sort(values):
+    scores = np.array(values, dtype=np.float64)
+    expected = np.lexsort((np.arange(scores.shape[0]), -scores))
+    assert np.array_equal(rank(scores).order, expected)
+
+
 # ---------------------------------------------------------------------------
 # intersection distance
 # ---------------------------------------------------------------------------
@@ -131,9 +146,10 @@ def test_isim_validation():
     cases = [
         ([[0, 1]], [0, 1], None, "a ranking must be a 1-d sequence"),
         ([0, 1], [0, 1, 2], 5, "different lengths: 2 vs 3"),
-        ([0, 1, 2], [0, 0, 1], 9, "same set of node ids"),
-        ([0, 0, 1], [0, 1, 2], 9, "same set of node ids"),
-        ([0, 0, 1], [0, 1, 1], 9, "same set of node ids"),
+        ([0, 1, 2], [0, 0, 1], 9, "the second ranking repeats node id 0"),
+        ([0, 0, 1], [0, 1, 2], 9, "the first ranking repeats node id 0"),
+        ([0, 0, 1], [0, 1, 1], 9, "the first ranking repeats node id 0"),
+        ([5, 7, 9], [7, 7, 5], 9, "the second ranking repeats node id 7$"),
         ([0, 1, 2], [4, 5, 6], 9, "same set of node ids"),
         ([0, 1], [1, 0], 0, r"k must lie in 1\.\.2, got 0"),
         ([0, 1], [1, 0], 3, r"k must lie in 1\.\.2, got 3"),
@@ -199,11 +215,18 @@ def test_equal_modulo_ties():
 
 def test_align_to_reorders_within_reference_ties_only():
     reference = rank([2.0, 1.0, 1.0, 0.5])
-    aligned = _align_to(reference, np.array([0, 2, 1, 3]))
+    aligned = _align_to(reference, _positions(np.array([0, 2, 1, 3])))
     assert list(aligned) == [0, 2, 1, 3]
-    aligned = _align_to(reference, np.array([2, 3, 1, 0]))
+    aligned = _align_to(reference, _positions(np.array([2, 3, 1, 0])))
     # group {1, 2} follows the candidate's relative order (2 before 1)
     assert list(aligned) == [0, 2, 1, 3]
+
+
+def test_align_to_without_reference_ties_returns_the_reference_order():
+    reference = rank([3.0, 1.0, 2.0, 0.5])
+    assert reference.tie_starts.shape[0] == reference.n
+    aligned = _align_to(reference, _positions(np.array([3, 2, 1, 0])))
+    assert aligned is reference.order
 
 
 def _tie_heavy_scores(rng, n, tie_tol):
@@ -230,7 +253,7 @@ def test_tie_groups_alignment_and_isim_match_oracles_under_heavy_ties():
             continue
 
         candidates = [rng.permutation(n), r.order.copy()]
-        aligned = _align_to(r, candidates[0])
+        aligned = _align_to(r, _positions(candidates[0]))
         swapped = aligned.copy()
         i, j = rng.choice(n, size=2)
         swapped[[i, j]] = swapped[[j, i]]
@@ -238,7 +261,7 @@ def test_tie_groups_alignment_and_isim_match_oracles_under_heavy_ties():
         for cand in candidates:
             cand_list = [int(x) for x in cand]
             expected = brute_align(groups, cand_list)
-            assert list(_align_to(r, cand)) == expected
+            assert list(_align_to(r, _positions(cand))) == expected
             assert equal_modulo_ties(cand, r) == \
                 brute_equal_modulo_ties(cand_list, groups)
             assert equal_modulo_ties(expected, r)
@@ -252,6 +275,59 @@ def test_tie_groups_alignment_and_isim_match_oracles_under_heavy_ties():
 # ---------------------------------------------------------------------------
 # limit_sweep
 # ---------------------------------------------------------------------------
+
+def _oracle_sweep(g, measure, grid, tie_tol=1e-9):
+    """The three isim columns of a sweep from ``brute_isim`` and
+    ``brute_align`` alone: candidates and references are sorted by
+    ``(-score, id)`` and grouped by ``brute_tie_partition``."""
+    spec = MEASURES[measure]
+    _, deg, eig = spec.sweep.limits(g, False, 1e-10)
+
+    def ordered(scores):
+        return sorted(range(g.n), key=lambda i: (-scores[i], i))
+
+    def groups(scores):
+        order = ordered(scores)
+        parts = sorted(brute_tie_partition(scores, tie_tol), key=min)
+        return [{order[p] for p in part} for part in parts]
+
+    references = [groups(deg), groups(eig)]
+    columns = ([], [], [math.nan])
+    previous = None
+    for t in grid:
+        cand = ordered(spec.compute(g, t, side="broadcast", tol=1e-10).scores)
+        for column, ref in zip(columns, references):
+            column.append(brute_isim(cand, brute_align(ref, cand), g.n))
+        if previous is not None:
+            columns[2].append(brute_isim(cand, previous, g.n))
+        previous = cand
+    return columns
+
+
+def test_sweep_columns_match_the_oracle_composition():
+    cases = [(ring(12), "katz"), (star(9), "katz"), (karate(), "katz"),
+             (karate(), "total-communicability")]
+    cases += [(strongly_connected_digraph(60, 0.1, s), "pagerank")
+              for s in range(3)]
+    for g, measure in cases:
+        sweep = limit_sweep(g, measure, tol=1e-10)
+        want = _oracle_sweep(g, measure, sweep.parameters)
+        got = (sweep.isim_to_degree, sweep.isim_to_eigenvector,
+               sweep.isim_successive)
+        for column, expected in zip(got, want):
+            assert np.array_equal(column, expected, equal_nan=True), measure
+
+
+def test_sweep_points_skip_the_validating_isim(monkeypatch):
+    # grid points compare positions with the private kernel; the public,
+    # validating path (one np.unique per call) is for caller-given rankings
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid point called intersection_distance")
+
+    expected = limit_sweep(karate(), "katz").to_csv()
+    monkeypatch.setattr("walkrank.ranking.intersection_distance", refuse)
+    assert limit_sweep(karate(), "katz").to_csv() == expected
+
 
 def test_sweep_default_grids():
     g = karate()
@@ -352,7 +428,8 @@ def test_sweep_directed_sides_use_matching_references():
     # degree reference pins the matching side
     by_out, by_in = rank(out_deg), rank(in_deg)
     assert intersection_distance(
-        by_out.order, _align_to(by_in, by_out.order), broadcast.k) > 0.4
+        by_out.order, _align_to(by_in, _positions(by_out.order)),
+        broadcast.k) > 0.4
     assert broadcast.isim_to_degree[0] == 0.0
     assert receive.isim_to_degree[0] == 0.0
     assert broadcast.side == "broadcast" and receive.side == "receive"

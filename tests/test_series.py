@@ -152,6 +152,15 @@ def test_nan_taylor_sum_names_overflow_at_once():
 
 
 
+def test_step_count_past_float64_names_overflow_before_any_step():
+    # beta * ||A|| = 3.4e308 would need more than 2**1023 scaling steps
+    start = time.perf_counter()
+    with pytest.raises(DomainError,
+                       match=r"overflows float64 at beta = 1\.7e\+308"):
+        exp_action(k3(), 1.7e308, np.ones(3))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_taylor_sum_with_an_overflowing_norm_keeps_its_stopping_test():
     # at beta = 105.2 every entry of exp(beta A) 1 on karate is finite but
     # their 1-norm is past float64's range; a stopping test against that
