@@ -5,7 +5,8 @@ primitives:
 
 * ``csr_matvec``   -- ``y = A @ x``, given the row of each stored entry
   (``Graph.matvec`` passes the one its graph caches)
-* ``fixed_point``  -- the loop ``x <- step(x)`` of every Neumann series
+* ``fixed_point``  -- the loop ``x <- step(x)`` of every Neumann series,
+  which raises :class:`~walkrank.errors.ConvergenceError` at its step limit
 * ``neumann``      -- ``fixed_point`` on ``x <- v + alpha * A @ x``
 * ``triangle_diag``-- ``diag(A^3)`` via sorted-row merge intersection
 
@@ -16,6 +17,8 @@ be replaced (for instance by a tracing wrapper) in one place.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 __all__ = [
     "get_backend",
@@ -41,18 +44,22 @@ def csr_matvec(indptr, indices, data, x, rows):
     return np.bincount(rows, weights=data * x[indices], minlength=n)
 
 
-def fixed_point(step, x, tol, max_iter):
+def fixed_point(step, x, tol, max_iter, label):
     """Iterate ``x <- step(x)`` until ``||x_{m+1} - x_m||_1 <= tol *
-    ||x_{m+1}||_1``, for at most ``max_iter`` steps. Returns ``(x,
-    iterations, last_step_l1)``; the caller checks the last step."""
+    ||x_{m+1}||_1``; returns ``(x, iterations, last_step_l1)``. After
+    ``max_iter`` steps without that raises :class:`ConvergenceError` naming
+    the loop ``label``, with the last iterate in ``best`` and its step in
+    ``residual``."""
     diff, it = np.inf, 0
     for it in range(1, max_iter + 1):
         y = step(x)
         diff = float(np.abs(y - x).sum())
         x = y
         if diff <= tol * float(np.abs(x).sum()):
-            break
-    return x, it, diff
+            return x, it, diff
+    raise ConvergenceError(
+        f"{label} did not reach tol={tol} within {it} steps "
+        f"(last step {diff:.3e} in 1-norm)", best=x, residual=diff)
 
 
 def neumann(indptr, indices, data, v, alpha, tol, max_iter):
@@ -60,7 +67,7 @@ def neumann(indptr, indices, data, v, alpha, tol, max_iter):
     rows = _row_index(indptr)
     return fixed_point(lambda x: v + alpha * np.bincount(
         rows, weights=data * x[indices], minlength=v.shape[0]),
-        v.copy(), tol, max_iter)
+        v.copy(), tol, max_iter, "Neumann iteration")
 
 
 def triangle_diag(indptr, indices, data):

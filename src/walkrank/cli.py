@@ -345,6 +345,10 @@ def _read_score_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     except ValueError:
         at = _first_rejected(cells, _score_columns)
     else:
+        if not np.all(np.isfinite(scores)):
+            at = int(np.argmin(np.isfinite(scores)))
+            raise ValidationError(f"{path}:{number[at]}: score must be "
+                                  f"finite, got {text[at]!r}")
         ids = np.sort(nodes)
         if np.all(ids[1:] != ids[:-1]):
             return nodes, scores

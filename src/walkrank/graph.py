@@ -60,15 +60,14 @@ class Graph:
     Use :meth:`from_edges` (or the loaders in this module) rather than the
     raw constructor; the factory validates, merges duplicates (their
     weights sum left to right in input order), and canonicalizes edge
-    order with one unstable sort, redone stably only when an edge has
-    copies to merge (see :meth:`_from_arrays`). Its graphs keep the
-    invariant that ``src``/``dst`` (int64) and ``weight`` (float64) hold
-    distinct edges sorted by ``(src, dst)``, undirected ones as ``(min,
-    max)``. So the stored edges are the CSR of a directed ``A`` as they
-    stand, and the other sides need one ``argsort`` of ``(row, col)`` keys.
-    A raw constructor call that breaks the invariant costs that sort on
-    every side; its duplicate edges stay separate CSR entries, in no set
-    order.
+    order with one unstable sort (see :meth:`_from_arrays`). Its graphs
+    keep the invariant that ``src``/``dst`` (int64) and ``weight``
+    (float64) hold distinct edges sorted by ``(src, dst)``, undirected ones
+    as ``(min, max)``. So the stored edges are the CSR of a directed ``A``
+    as they stand, and the other sides need one ``argsort`` of ``(row,
+    col)`` keys. A raw constructor call that breaks the invariant costs
+    that sort on every side; its duplicate edges stay separate CSR
+    entries, in no set order.
 
     Data derived from the graph is computed once and kept in :meth:`memo`
     for the graph's lifetime: the CSR adjacency and its transpose, each
@@ -138,10 +137,10 @@ class Graph:
         it is a :class:`ValidationError` naming the edge. Undirected edges
         are stored as ``(min, max)`` and sorted by ``(src, dst)`` with one
         unstable ``argsort`` of the ``src * n + dst`` keys, which orders
-        distinct edges fully. Only when the sorted keys hold a duplicate is
-        the sort redone stably, so that the copies of an edge sum their
-        weights left to right in array order. ``node_labels`` defaults to
-        ``0..n-1``; it is built after the edge checks.
+        distinct edges fully. When the sorted keys hold a duplicate, one
+        ``bincount`` over each edge's rank among the distinct keys sums the
+        weights of its copies left to right in array order. ``node_labels``
+        defaults to ``0..n-1``; it is built after the edge checks.
         """
         n = int(n)
         if n < 0:
@@ -163,18 +162,10 @@ class Graph:
             if first.all():
                 weight = weight[order]
             else:
-                # the copies of an edge sum left to right in array order,
-                # one step per copy of the most repeated edge
-                weight = weight[np.argsort(key, kind="stable")]
-                start = np.flatnonzero(first)
-                count = np.diff(start, append=key.shape[0])
-                total = weight[start]
-                k, more = 1, np.flatnonzero(count > 1)
-                while more.size:
-                    total[more] += weight[start[more] + k]
-                    k += 1
-                    more = more[count[more] > k]
-                weight = total
+                # the copies of an edge sum left to right in array order
+                edge = np.empty_like(order)
+                edge[order] = np.cumsum(first) - 1
+                weight = np.bincount(edge, weights=weight)
                 sorted_key = sorted_key[first]
             src = sorted_key // n
             dst = sorted_key % n
@@ -708,16 +699,18 @@ def dumps_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def degrees(g: Graph) -> Degrees:
-    """Weighted out-degrees (row sums) and in-degrees (column sums)."""
-    out = np.zeros(g.n)
-    in_ = np.zeros(g.n)
-    np.add.at(out, g.src, g.weight)
-    np.add.at(in_, g.dst, g.weight)
+    """Weighted out-degrees (row sums) and in-degrees (column sums), summed
+    in edge order: the stored edges, then the reverses of undirected ones
+    that are not loops."""
+    src, dst, weight = g.src, g.dst, g.weight
     if not g.directed:
-        loops = g.src == g.dst
-        np.add.at(out, g.dst[~loops], g.weight[~loops])
-        np.add.at(in_, g.src[~loops], g.weight[~loops])
-    return Degrees(out, in_)
+        back = src != dst
+        src, dst = (np.concatenate((src, dst[back])),
+                    np.concatenate((dst, src[back])))
+        weight = np.concatenate((weight, weight[back]))
+    # float64 even without edges, where bincount returns int64
+    return Degrees(np.bincount(src, weight, g.n).astype(float, copy=False),
+                   np.bincount(dst, weight, g.n).astype(float, copy=False))
 
 
 def _views(g: Graph, sides: tuple[bool, ...]) -> list[tuple]:

@@ -17,7 +17,8 @@ with one sparse matvec plus two rank-one corrections.
 PageRank is the resolvent family on the Google matrix, ``p = (1 - alpha)
 (I - alpha S)^{-1} v``: both solvers run the fixed-point loop of Katz,
 :func:`walkrank._kernels.fixed_point`, :func:`pagerank_power` on ``S`` and
-:func:`pagerank_linear` on ``H``.
+:func:`pagerank_linear` on ``H``. The loop raises
+:class:`~walkrank.errors.ConvergenceError` at its step limit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, ValidationError
 from .graph import Graph, degrees
-from .series import _check_fixed_point, _check_parameter, _scaled_taylor
+from .series import _check_parameter, _scaled_taylor
 from .spectral import DEFAULT_TOL, _check_tol
 
 __all__ = [
@@ -156,9 +157,8 @@ def pagerank_power(model: GoogleModel, *, tol: float = DEFAULT_TOL,
     to a probability vector (the loop preserves the sum up to roundoff).
     """
     _check_tol(tol)
-    p = _check_fixed_point(_kernels.fixed_point(
-        model.apply, model.preference.copy(), tol, max_iter), tol,
-        "PageRank power iteration")
+    p = _kernels.fixed_point(model.apply, model.preference.copy(), tol,
+                             max_iter, "PageRank power iteration")[0]
     return p / p.sum()
 
 
@@ -173,9 +173,8 @@ def pagerank_linear(model: GoogleModel, *, tol: float = DEFAULT_TOL,
     """
     _check_tol(tol)
     v = model.preference
-    x = _check_fixed_point(_kernels.fixed_point(
-        lambda x: v + model.alpha * model.h_matvec(x), v.copy(), tol,
-        max_iter), tol, "Neumann iteration")
+    x = _kernels.fixed_point(lambda x: v + model.alpha * model.h_matvec(x),
+                             v.copy(), tol, max_iter, "Neumann iteration")[0]
     return x / x.sum()
 
 

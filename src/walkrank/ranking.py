@@ -299,6 +299,15 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
             f"{measure} sweep on a graph with a self-loop: the loop weight, "
             "not a degree, leads its small-parameter limit")
 
+    if grid is not None:
+        grid = np.asarray(list(grid), dtype=np.float64)
+        if grid.ndim != 1 or grid.shape[0] == 0:
+            raise ValidationError("grid must be a non-empty 1-d sequence")
+        if np.isnan(grid).any():  # NaN passes every comparison below
+            raise ValidationError("grid points must be numbers, got nan")
+        if np.any(np.diff(grid) <= 0.0):
+            raise ValidationError("grid must be strictly increasing")
+
     t_star, deg_scores, eig_scores = spec.sweep.limits(g, receive, tol)
     if spec.diagonal:
         squared = g.weight * g.weight
@@ -307,12 +316,6 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
 
     if grid is None:
         grid = spec.sweep.default_grid(t_star)
-    else:
-        grid = np.asarray(list(grid), dtype=np.float64)
-        if grid.ndim != 1 or grid.shape[0] == 0:
-            raise ValidationError("grid must be a non-empty 1-d sequence")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValidationError("grid must be strictly increasing")
     if grid[0] <= 0.0 or grid[-1] >= t_star:
         raise DomainError(
             f"grid points must lie inside the feasible interval "
@@ -417,29 +420,18 @@ def convergence_report(sweep: SweepResult,
     band = None
     band_indices: tuple[int, ...] = ()
     if npts >= 2 and informative.any():
-        # longest contiguous run (earliest on ties)
-        best_start = best_len = 0
-        start = None
-        for i in range(npts + 1):
-            if i < npts and informative[i]:
-                if start is None:
-                    start = i
-            elif start is not None:
-                if i - start > best_len:
-                    best_start, best_len = start, i - start
-                start = None
-        band_indices = tuple(range(best_start, best_start + best_len))
+        # longest contiguous run, earliest on ties (argmax takes the first)
+        edges = np.diff(informative, prepend=False, append=False)
+        start, stop = np.flatnonzero(edges).reshape(-1, 2).T
+        best = int(np.argmax(stop - start))
+        band_indices = tuple(range(start[best], stop[best]))
         band = (float(sweep.parameters[band_indices[0]]),
                 float(sweep.parameters[band_indices[-1]]))
 
     eps = 1e-12
-    deg_viol = tuple(
-        i for i in range(1, npts)
-        if sweep.isim_to_degree[i] < sweep.isim_to_degree[i - 1] - eps)
-    eig_viol = tuple(
-        i for i in range(1, npts)
-        if sweep.isim_to_eigenvector[i] > sweep.isim_to_eigenvector[i - 1]
-        + eps)
+    deg, eig = sweep.isim_to_degree, sweep.isim_to_eigenvector
+    deg_viol = tuple((np.flatnonzero(deg[1:] < deg[:-1] - eps) + 1).tolist())
+    eig_viol = tuple((np.flatnonzero(eig[1:] > eig[:-1] + eps) + 1).tolist())
 
     if npts < 2:
         recommendation = (

@@ -25,7 +25,6 @@ import numpy as np
 from . import _kernels
 from .errors import (
     CapacityError,
-    ConvergenceError,
     DomainError,
     UnsupportedOperationError,
     ValidationError,
@@ -45,6 +44,10 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_LIMIT = 3000
+
+# Scaled Taylor steps allowed per product: one step costs at least ~33 us
+# even on 3 nodes, so 2**32 of them would run for more than a day.
+_MAX_TAYLOR_STEPS = 2 ** 32
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
     through a Taylor evaluation of ``exp((beta/s) A)`` at tolerance
     ``tol/s``. Fixed summation order makes the result bitwise reproducible
     for identical inputs. Raises :class:`DomainError` when the result
-    overflows float64.
+    overflows float64 or ``s`` exceeds ``2**32``.
     """
     v = _validate_vector(g, v)
     _check_parameter("beta", beta)
@@ -143,16 +146,22 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
     entry that is not finite raises :class:`DomainError` at once, naming
     the parameter ``name`` and the operator ``op``. A sum whose entries
     are finite but whose 1-norm overflows goes on, with both norms of the
-    test taken after dividing by its largest entry. Past ``beta *
-    norm_bound = 2**1023`` the step count leaves float64 and no loop of
-    that many steps can end; there ``beta * lambda1`` exceeds 709 unless
-    ``lambda1 < 1e-305 * norm_bound``, so the same error is raised before
-    any step.
+    test taken after dividing by its largest entry. A step count past
+    ``_MAX_TAYLOR_STEPS`` raises :class:`DomainError` naming ``name``
+    before any step: such a loop cannot finish, and on a nilpotent ``M``
+    its sum would never overflow either.
     """
-    if beta * norm_bound > 2.0 ** 1023:
-        raise _overflow(beta, name, op)
     s = 1
     while beta * norm_bound / s > 1.0:
+        if s == _MAX_TAYLOR_STEPS:
+            x = beta * norm_bound
+            mantissa, exponent = math.frexp(x)
+            steps = (f"2**{exponent - (mantissa == 0.5)}"
+                     if math.isfinite(x) else "over 2**1023")
+            raise DomainError(
+                f"exp({name}*{op}) at {name} = {beta:.12g} needs {steps} "
+                f"Taylor steps, past the 2**32 that a run can finish; use a "
+                f"smaller {name}")
         s *= 2
     step = beta / s
     inner_tol = tol / s
@@ -202,7 +211,8 @@ def resolvent_solve(g: Graph, alpha: float, v, *, tol: float = DEFAULT_TOL,
     Requires ``alpha`` in the feasible interval ``[0, 1/lambda1)`` of
     :data:`RESOLVENT`, with ``lambda1`` computed unless passed; ``alpha = 0``
     and a graph without edges return ``v``. Iterates until
-    ``||x_{m+1} - x_m||_1 <= tol * ||x_{m+1}||_1``.
+    ``||x_{m+1} - x_m||_1 <= tol * ||x_{m+1}||_1``; the loop raises
+    :class:`~walkrank.errors.ConvergenceError` after ``max_iter`` steps.
     """
     v = _validate_vector(g, v)
     _check_parameter("alpha", alpha)
@@ -213,21 +223,8 @@ def resolvent_solve(g: Graph, alpha: float, v, *, tol: float = DEFAULT_TOL,
         lambda1 = dominant_eigenpair(g).lambda1
     _check_parameter("alpha", alpha, RESOLVENT, lambda1)
     indptr, indices, data = g.adjacency_t() if transpose else g.adjacency()
-    return _check_fixed_point(_kernels.neumann(
-        indptr, indices, data, v, alpha, tol, max_iter), tol,
-        "Neumann iteration")
-
-
-def _check_fixed_point(result, tol: float, label: str) -> np.ndarray:
-    """``x`` of a :func:`_kernels.fixed_point` result ``(x, steps,
-    last_step)``; a :class:`ConvergenceError` naming ``label``, with ``x`` in
-    ``best``, unless the last step met its tolerance."""
-    x, steps, diff = result
-    if diff > tol * float(np.abs(x).sum()):
-        raise ConvergenceError(
-            f"{label} did not reach tol={tol} within {steps} steps "
-            f"(last step {diff:.3e} in 1-norm)", best=x, residual=diff)
-    return x
+    return _kernels.neumann(indptr, indices, data, v, alpha, tol,
+                            max_iter)[0]
 
 
 def dense_limit() -> int:

@@ -248,3 +248,74 @@ def one_shot_strongly_connected_digraph(n, p, seed):
     pairs = np.unique(np.concatenate([ii[mask] * n + jj[mask],
                                       perm * n + np.roll(perm, -1)]))
     return pairs // n, pairs % n
+
+
+def loop_merged_edges(n, src, dst, weight, directed):
+    """Canonical ``(src, dst, weight)`` of valid edge arrays, the copies of
+    an edge merged by an explicit loop: undirected edges as ``(min, max)``,
+    a stable sort on ``src * n + dst``, then ``total += next copy`` once
+    per copy of the most repeated edge, left to right in array order."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weight = np.asarray(weight, dtype=np.float64)
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    if src.shape[0] == 0:
+        return src.copy(), dst.copy(), weight.copy()
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    sorted_key, weight = key[order], weight[order]
+    first = np.empty(key.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    count = np.diff(start, append=key.shape[0])
+    total = weight[start]
+    k, more = 1, np.flatnonzero(count > 1)
+    while more.size:
+        total[more] += weight[start[more] + k]
+        k += 1
+        more = more[count[more] > k]
+    sorted_key = sorted_key[first]
+    return sorted_key // n, sorted_key % n, total
+
+
+def add_at_degrees(g):
+    """``(out, in)`` weighted degrees by four ``np.add.at`` passes: every
+    stored edge, then the reverse of each undirected non-loop edge."""
+    out = np.zeros(g.n)
+    in_ = np.zeros(g.n)
+    np.add.at(out, g.src, g.weight)
+    np.add.at(in_, g.dst, g.weight)
+    if not g.directed:
+        loops = g.src == g.dst
+        np.add.at(out, g.dst[~loops], g.weight[~loops])
+        np.add.at(in_, g.src[~loops], g.weight[~loops])
+    return out, in_
+
+
+def scanned_report_indices(parameters, deg, eig, threshold):
+    """``(band_indices, degree_violations, eigenvector_violations)`` of a
+    sweep by an index scan: the longest run of points further than
+    ``threshold`` from both references (earliest on ties, none below two
+    points), and the points whose distance to degree falls, or to the
+    eigenvector rises, by more than 1e-12."""
+    npts = len(parameters)
+    informative = [d > threshold and e > threshold for d, e in zip(deg, eig)]
+    band = ()
+    if npts >= 2 and any(informative):
+        best_start = best_len = 0
+        start = None
+        for i in range(npts + 1):
+            if i < npts and informative[i]:
+                if start is None:
+                    start = i
+            elif start is not None:
+                if i - start > best_len:
+                    best_start, best_len = start, i - start
+                start = None
+        band = tuple(range(best_start, best_start + best_len))
+    eps = 1e-12
+    deg_viol = tuple(i for i in range(1, npts) if deg[i] < deg[i - 1] - eps)
+    eig_viol = tuple(i for i in range(1, npts) if eig[i] > eig[i - 1] + eps)
+    return band, deg_viol, eig_viol

@@ -457,9 +457,27 @@ def test_compute_beta_past_the_taylor_step_range_exits_2(capsys):
                          "--measure", "total-communicability", "--beta",
                          "1.7e308")
     assert (code, out) == (2, "")
-    assert err.startswith("error: exp(beta*A) overflows float64 at beta = "
-                          "1.7e+308")
+    assert err.startswith("error: exp(beta*A) at beta = 1.7e+308 needs "
+                          "over 2**1023 Taylor steps")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("beta, steps", [("1e300", 997), ("1e100", 333)])
+def test_compute_nilpotent_beta_past_the_step_budget_exits_2_at_once(
+        capsys, tmp_path, beta, steps):
+    # the directed path is nilpotent: its Taylor sum never overflows, and
+    # the 2**997 planned steps ran until a timeout stopped them
+    path = tmp_path / "path.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n"
+                    "3 3 2\n1 2\n2 3\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "--input", str(path),
+                         "--measure", "total-communicability", "--beta", beta)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: exp(beta*A) at beta = {float(beta):.12g} needs "
+                   f"2**{steps} Taylor steps, past the 2**32 that a run can "
+                   "finish; use a smaller beta\n")
 
 
 def test_sweep_bad_grid_string_exits_2(capsys):
@@ -467,6 +485,20 @@ def test_sweep_bad_grid_string_exits_2(capsys):
                        "--measure", "katz", "--grid", "0.01,zap")
     assert code == 2
     assert "comma-separated" in err
+
+
+@pytest.mark.parametrize("grid", ["nan,0.01,0.02", "0.01,nan,0.02",
+                                  "0.01,nan", "nan"])
+def test_sweep_nan_grid_point_exits_2_before_any_solve(capsys, monkeypatch,
+                                                        grid):
+    def no_solve(*args):
+        raise AssertionError("solved before checking the grid")
+
+    monkeypatch.setattr(walkrank._kernels, "csr_matvec", no_solve)
+    code, out, err = run(capsys, "sweep", "--input", "builtin:karate",
+                         "--measure", "katz", "--grid", grid)
+    assert (code, out, err) == (
+        2, "", "error: grid points must be numbers, got nan\n")
 
 
 def test_sweep_writes_csv_and_prints_report(capsys, tmp_path):
@@ -652,6 +684,10 @@ SCORE_FILES = {
                             "'node,score'"),
     "bad-score": ("1,0.5\n2,high\n",
                   ":2: expected 'node score' columns, got '2,high'"),
+    "nan-score": ("node,score\n1,0.5\n2,nan\n3,1\n",
+                  ":3: score must be finite, got '2,nan'"),
+    "inf-score": ("1 0.5\n2 1\n# c\n3 -inf\n",
+                  ":4: score must be finite, got '3 -inf'"),
     "bad-node-last-line": ("".join(f"{k},{k}.5\n" for k in range(3000))
                            + "1.5,2",
                            ":3001: expected 'node score' columns, got "

@@ -26,7 +26,9 @@ from walkrank.datasets import karate, six_node_digraph
 from walkrank.generators import erdos_renyi
 
 from oracles import (
+    add_at_degrees,
     brute_triangles,
+    loop_merged_edges,
     oracle_edge_list,
     oracle_matrix_market,
     recursive_tarjan,
@@ -64,6 +66,55 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 1, float("nan"))])
     with pytest.raises(ValidationError):
         Graph.from_edges(2, [(0, 1)], node_labels=[7])
+
+
+def merge_cases():
+    """Seeded ``(n, src, dst, weight, directed)`` edge arrays with self-loops
+    and edges repeated 3 to 6 times in shuffled positions, weights spanning
+    16 decades or all 1; plus ``n = 0``, ``n = 1`` and ``m = 0``."""
+    empty = np.empty(0, dtype=np.int64)
+    for directed in (False, True):
+        yield 0, empty, empty, np.empty(0), directed
+        yield 1, empty, empty, np.empty(0), directed
+        yield 5, empty, empty, np.empty(0), directed
+        yield 1, np.zeros(4, np.int64), np.zeros(4, np.int64), \
+            np.array([1e-8, 3.0, 1e8, 0.1]), directed
+    rng = np.random.default_rng(61)
+    for case in range(120):
+        n = int(rng.integers(1, 25))
+        m = int(rng.integers(1, 3 * n))
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        repeat = rng.integers(0, m, int(rng.integers(1, 4)))
+        copies = rng.integers(3, 7, repeat.shape[0])
+        src = np.concatenate([src, np.repeat(src[repeat], copies)])
+        dst = np.concatenate([dst, np.repeat(dst[repeat], copies)])
+        shuffle = rng.permutation(src.shape[0])
+        src, dst = src[shuffle], dst[shuffle]
+        if case % 3 == 0:
+            src, dst = dst, src  # undirected copies in both orientations
+        weight = (10.0 ** rng.uniform(-8.0, 8.0, src.shape[0]) if case % 4
+                  else np.ones(src.shape[0]))
+        yield n, src, dst, weight, case % 2 == 0
+
+
+def test_merge_and_degrees_equal_the_loop_and_add_at_oracles():
+    merged = 0
+    for n, src, dst, weight, directed in merge_cases():
+        g = Graph._from_arrays(n, src, dst, weight, directed=directed,
+                               allow_loops=True)
+        want = loop_merged_edges(n, src, dst, weight, directed)
+        for have, expected in zip((g.src, g.dst, g.weight), want):
+            assert have.dtype == expected.dtype, (n, directed)
+            assert np.array_equal(have, expected), (n, directed)
+        merged += g.m < src.shape[0]
+        raw = Graph(n, np.asarray(src, dtype=np.int64),
+                    np.asarray(dst, dtype=np.int64), weight, directed,
+                    np.arange(n))  # duplicates kept, in array order
+        for h in (g, raw):
+            for have, expected in zip(degrees(h), add_at_degrees(h)):
+                assert have.dtype == expected.dtype, (n, directed)
+                assert np.array_equal(have, expected), (n, directed)
+    assert merged > 100
 
 
 def test_from_edges_equals_array_constructor_and_canonical_form():

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from walkrank import _kernels
 from walkrank.datasets import karate
+from walkrank.errors import ConvergenceError
 from walkrank.generators import erdos_renyi, strongly_connected_digraph
 from walkrank.graph import Graph, degrees
 from walkrank.measures import (
@@ -74,10 +76,15 @@ def test_neumann_stops_at_max_iter_without_converging():
     indices = np.array([1, 0], dtype=np.int64)
     data = np.ones(2)
     v = np.ones(2)
-    x, iterations, diff = _kernels.neumann(indptr, indices, data, v,
-                                           0.9, 1e-14, 3)
-    assert iterations == 3
-    assert diff > 1e-14 * np.abs(x).sum()
+    with pytest.raises(ConvergenceError, match=(
+            r"^Neumann iteration did not reach tol=1e-14 within 3 steps "
+            r"\(last step 1\.458e\+00 in 1-norm\)$")) as info:
+        _kernels.neumann(indptr, indices, data, v, 0.9, 1e-14, 3)
+    iterates = [v]
+    for _ in range(3):  # x <- v + 0.9 A x, A swapping the two nodes
+        iterates.append(v + 0.9 * iterates[-1][::-1])
+    assert np.array_equal(info.value.best, iterates[3])
+    assert info.value.residual == np.abs(iterates[3] - iterates[2]).sum()
 
 
 def test_warmup_runs_on_selected_backend():

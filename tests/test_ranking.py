@@ -30,13 +30,14 @@ from walkrank.measures import (
     MEASURES,
     RESOLVENT_FAMILY_FRACTIONS,
 )
-from walkrank.ranking import _align_to, _positions
+from walkrank.ranking import SweepResult, _align_to, _positions
 
 from oracles import (
     brute_align,
     brute_equal_modulo_ties,
     brute_isim,
     brute_tie_partition,
+    scanned_report_indices,
 )
 
 
@@ -499,6 +500,41 @@ def test_report_single_point_sweep_degenerates():
     report = convergence_report(sweep)
     assert report.band is None
     assert "single-point" in report.recommendation
+
+
+def report_columns():
+    """Seeded distance columns with runs of equal length, no informative
+    point, every point informative, one point, and steps within and just
+    past the 1e-12 monotonicity slack."""
+    yield np.array([0.3, 0.3, 0.0, 0.3, 0.3]), np.full(5, 0.3)  # tied runs
+    yield np.zeros(4), np.full(4, 0.3)  # nothing informative
+    yield np.full(4, 0.3), np.full(4, 0.3)  # everything informative
+    yield np.array([0.3]), np.array([0.3])  # one point
+    values = np.array([0.0, 0.04, 0.05, 0.06, 0.3, 0.3 - 5e-13, 0.3 - 2e-12,
+                       0.3 + 2e-12, 0.7])
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        npts = int(rng.integers(1, 13))
+        yield rng.choice(values, npts), rng.choice(values, npts)
+
+
+def test_report_equals_the_index_scan():
+    for deg, eig in report_columns():
+        grid = np.cumsum(np.full(deg.shape[0], 0.5))
+        sweep = SweepResult("katz", "broadcast", grid, deg, eig,
+                            np.full(deg.shape[0], np.nan), 5, 10.0)
+        report = convergence_report(sweep, threshold=0.05)
+        band, deg_viol, eig_viol = scanned_report_indices(grid, deg, eig,
+                                                          0.05)
+        assert report.band_indices == band, (deg, eig)
+        assert report.band == (None if not band else
+                               (grid[band[0]], grid[band[-1]]))
+        assert report.degree_violations == deg_viol, (deg, eig)
+        assert report.eigenvector_violations == eig_viol, (deg, eig)
+        for index in (*report.band_indices, *report.degree_violations,
+                      *report.eigenvector_violations):
+            assert type(index) is int
+        json.dumps(report.to_json_dict())
 
 
 def test_report_json():
