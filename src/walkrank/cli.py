@@ -53,7 +53,7 @@ from .graph import (
     load_matrix_market,
 )
 from .measures import MEASURES, SWEEPABLE
-from .pagerank import (_check_preference_entries, build_model,
+from .pagerank import (_preference_faults, build_model,
                        pagerank_power, small_alpha_limit)
 from .ranking import (_resolve_depth, convergence_report,
                       intersection_distance, limit_sweep, rank)
@@ -216,7 +216,13 @@ def _load_preference(spec: str, n: int) -> np.ndarray | None:
         raise ValidationError(
             f"preference file has {v.shape[0]} entries for a graph with "
             f"{n} nodes")
-    _check_preference_entries(v)
+    faults = _preference_faults(v)
+    if faults.any():
+        text, number = _numbered(lines)[:2]
+        at = int(faults.argmax())
+        raise ValidationError(
+            f"{spec}:{number[at]}: preference weight must be finite and "
+            f"non-negative, got {text[at]!r}")
     total = float(v.sum())
     if total <= 0:
         raise ValidationError("preference must have positive total mass")

@@ -28,6 +28,8 @@ from .graph import Graph, degrees, is_connected
 from .pagerank import (
     ALPHA_CAP,
     DEFAULT_ALPHA as DEFAULT_DAMPING,
+    _damping,
+    _shifted_fom,
     build_model,
     heat_kernel_rowsums,
     pagerank_power,
@@ -221,40 +223,22 @@ RESOLVENT_FAMILY_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
                               0.99)
 
 
-def _walk_limits(f: SeriesFunction):
-    """Limits of ``f(tA)``: degree as ``t -> 0``, the dominant eigenvector
-    at the feasible endpoint ``radius / lambda1``."""
-
-    def limits(g: Graph, receive: bool, tol: float):
-        info = dominant_eigenpair(
-            g, side="left" if receive else "right", tol=tol)
-        _, t_star = feasible_interval(f, info.lambda1)
-        out_deg, in_deg = degrees(g)
-        return t_star, (in_deg if receive else out_deg), info.dominant_vector
-
-    return limits
-
-
-def _pagerank_limits(g: Graph, receive: bool, tol: float):
-    """Limits of PageRank in its damping factor: the row sums ``H 1`` as
-    ``alpha -> 0``, the PageRank vector at the damping cap near the
-    endpoint 1."""
-    return (1.0, small_alpha_limit(g),
-            pagerank_power(build_model(g, ALPHA_CAP), tol=tol))
-
-
 @dataclass(frozen=True)
 class Sweep:
     """How a family is swept.
 
     ``grid`` is the default grid, in fractions of the feasible endpoint when
     ``relative``. ``limits(g, receive, tol)`` returns the endpoint
-    ``t_star`` and the degree-like and eigenvector-like reference scores.
+    ``t_star`` and the degree-like reference scores. ``solve(compute, g,
+    grid, side, receive, tol)`` returns the :class:`CentralityVector` of the
+    measure ``compute`` at each grid point, and the eigenvector-like
+    reference scores.
     """
 
     grid: tuple[float, ...]
     relative: bool
     limits: Callable
+    solve: Callable
 
     def default_grid(self, t_star: float) -> np.ndarray:
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -263,11 +247,54 @@ class Sweep:
         return grid
 
 
+def _walk_sweep(grid: tuple[float, ...], relative: bool,
+                f: SeriesFunction) -> Sweep:
+    """Sweep of ``f(tA)`` between its limits: degree as ``t -> 0``, the
+    dominant eigenvector at the feasible endpoint ``radius / lambda1``.
+    Each grid point is one call of the measure."""
+
+    def eigenpair(g: Graph, receive: bool, tol: float):
+        return dominant_eigenpair(
+            g, side="left" if receive else "right", tol=tol)
+
+    def limits(g: Graph, receive: bool, tol: float):
+        _, t_star = feasible_interval(f, eigenpair(g, receive, tol).lambda1)
+        out_deg, in_deg = degrees(g)
+        return t_star, (in_deg if receive else out_deg)
+
+    def solve(compute, g: Graph, grid, side: str, receive: bool, tol: float):
+        return ([compute(g, float(t), side=side, tol=tol) for t in grid],
+                eigenpair(g, receive, tol).dominant_vector)
+
+    return Sweep(grid, relative, limits, solve)
+
+
+def _pagerank_limits(g: Graph, receive: bool, tol: float):
+    """The endpoint 1 of the damping factor, and the row sums ``H 1``, the
+    ranking limit as ``alpha -> 0``."""
+    return 1.0, small_alpha_limit(g)
+
+
+def _pagerank_solve(compute, g: Graph, grid, side: str, receive: bool,
+                    tol: float):
+    """PageRank at every grid point and at the damping cap, the limit near
+    the endpoint 1, from one call of the shifted solver. Each vector
+    records its checked error bound and the solver's counts."""
+    alphas = [*map(_damping, grid), ALPHA_CAP]
+    p, bounds, steps, products = _shifted_fom(
+        build_model(g, ALPHA_CAP), alphas, tol, DEFAULT_MAX_ITER)
+    points = [CentralityVector("pagerank", "broadcast", alpha, scores,
+                               {"solver": "shifted FOM", "bound": bound,
+                                "steps": steps, "products": products})
+              for alpha, scores, bound in zip(alphas, p, bounds.tolist())]
+    return points[:-1], points[-1].scores
+
+
 SWEEPS = {
-    "exponential": Sweep(EXP_FAMILY_GRID, False, _walk_limits(EXPONENTIAL)),
-    "resolvent": Sweep(RESOLVENT_FAMILY_FRACTIONS, True,
-                       _walk_limits(RESOLVENT)),
-    "pagerank": Sweep(RESOLVENT_FAMILY_FRACTIONS, True, _pagerank_limits),
+    "exponential": _walk_sweep(EXP_FAMILY_GRID, False, EXPONENTIAL),
+    "resolvent": _walk_sweep(RESOLVENT_FAMILY_FRACTIONS, True, RESOLVENT),
+    "pagerank": Sweep(RESOLVENT_FAMILY_FRACTIONS, True, _pagerank_limits,
+                      _pagerank_solve),
 }
 
 

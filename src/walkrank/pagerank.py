@@ -15,22 +15,28 @@ for dangling nodes so the inverse exists):
 with one sparse matvec plus two rank-one corrections.
 
 PageRank is the resolvent family on the Google matrix, ``p = (1 - alpha)
-(I - alpha S)^{-1} v``: both solvers run the fixed-point loop of Katz,
-:func:`walkrank._kernels.fixed_point`, :func:`pagerank_power` on ``S`` and
-:func:`pagerank_linear` on ``H``. The loop raises
-:class:`~walkrank.errors.ConvergenceError` at its step limit.
+(I - alpha S)^{-1} v``, and has two solvers:
+
+* :func:`pagerank_power` runs the fixed-point loop of Katz,
+  :func:`walkrank._kernels.fixed_point`, on ``p <- P p``; the loop raises
+  :class:`~walkrank.errors.ConvergenceError` at its step limit;
+* :func:`_shifted_fom`, restarted shifted FOM, solves ``(I - alpha S) x =
+  v`` for several ``alpha`` at once from one Krylov basis of the
+  alpha-free ``S``, and returns each vector only with a checked bound on
+  its 1-norm error. :func:`pagerank_linear` is its one-shift call, and a
+  PageRank sweep solves its grid and the damping cap in one call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .graph import Graph, degrees
 from .series import _check_parameter, _scaled_taylor
 from .spectral import DEFAULT_TOL, _check_tol
@@ -46,6 +52,9 @@ __all__ = [
 
 DEFAULT_ALPHA = 0.85
 ALPHA_CAP = 0.999  # values of alpha closer to 1 are numerically treacherous
+# Arnoldi steps between restarts of the shifted solver; its basis holds
+# _RESTART + 1 vectors of n floats (8.4 MB at n = 50 000).
+_RESTART = 20
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,12 @@ class GoogleModel:
     def h_matvec(self, x: np.ndarray) -> np.ndarray:
         """``H @ x``."""
         return self.graph.matvec_t(x * self.inv_out)
+
+    def s_matvec(self, x: np.ndarray) -> np.ndarray:
+        """``S @ x``: ``H @ x`` plus the dangling mass, spread uniformly."""
+        y = self.h_matvec(x)
+        y += float(self.dangling @ x) / self.n
+        return y
 
     def ht_matvec(self, x: np.ndarray) -> np.ndarray:
         """``H.T @ x``."""
@@ -97,11 +112,25 @@ def _inv_out(out: np.ndarray) -> np.ndarray:
     return 1.0 / np.where(out == 0.0, 1.0, out)
 
 
-def _check_preference_entries(v: np.ndarray) -> None:
-    """Raise :class:`ValidationError` unless every weight is finite, >= 0."""
-    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-        raise ValidationError(
-            "preference entries must be finite and non-negative")
+def _preference_faults(v: np.ndarray) -> np.ndarray:
+    """Mask of the weights that are not finite and non-negative."""
+    return ~(np.isfinite(v) & (v >= 0.0))
+
+
+def _damping(alpha: float) -> float:
+    """``alpha`` checked to lie in ``[0, 1)``, and clamped to
+    :data:`ALPHA_CAP` with a :class:`RuntimeWarning` above it."""
+    if not math.isfinite(alpha) or alpha < 0.0 or alpha >= 1.0:
+        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+    if alpha > ALPHA_CAP:
+        warnings.warn(
+            f"alpha={alpha} clamped to {ALPHA_CAP}: conditioning scales like "
+            "1/(1-alpha) and rankings this close to the limit are unstable",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        alpha = ALPHA_CAP
+    return float(alpha)
 
 
 def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
@@ -115,16 +144,7 @@ def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
     """
     if g.n == 0:
         raise ValidationError("PageRank needs at least one node")
-    if not math.isfinite(alpha) or alpha < 0.0 or alpha >= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    if alpha > ALPHA_CAP:
-        warnings.warn(
-            f"alpha={alpha} clamped to {ALPHA_CAP}: conditioning scales like "
-            "1/(1-alpha) and rankings this close to the limit are unstable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        alpha = ALPHA_CAP
+    alpha = _damping(alpha)
 
     n = g.n
     if preference is None:
@@ -134,7 +154,9 @@ def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
         if v.shape != (n,):
             raise ValidationError(
                 f"preference must have length {n}, got shape {v.shape}")
-        _check_preference_entries(v)
+        if _preference_faults(v).any():
+            raise ValidationError(
+                "preference entries must be finite and non-negative")
         if abs(float(v.sum()) - 1.0) > 1e-12:
             raise ValidationError(
                 f"preference must sum to 1 within 1e-12, got {v.sum()!r}")
@@ -144,7 +166,7 @@ def build_model(g: Graph, alpha: float = DEFAULT_ALPHA,
     inv_out = _inv_out(out)
     for arr in (v, dangling, inv_out):
         arr.setflags(write=False)
-    return GoogleModel(g, float(alpha), v, dangling, inv_out)
+    return GoogleModel(g, alpha, v, dangling, inv_out)
 
 
 def pagerank_power(model: GoogleModel, *, tol: float = DEFAULT_TOL,
@@ -152,9 +174,9 @@ def pagerank_power(model: GoogleModel, *, tol: float = DEFAULT_TOL,
     """PageRank by power iteration ``p <- P p`` from ``p_0 = v``.
 
     On probability vectors ``P p = alpha S p + (1 - alpha) v``: the
-    fixed-point loop of :func:`pagerank_linear` on ``S``, stopping at
-    ``||p_{m+1} - p_m||_1 <= tol * ||p_{m+1}||_1``. The result is normalized
-    to a probability vector (the loop preserves the sum up to roundoff).
+    fixed-point loop of Katz on ``S``, stopping at ``||p_{m+1} - p_m||_1 <=
+    tol * ||p_{m+1}||_1``. The result is normalized to a probability vector
+    (the loop preserves the sum up to roundoff).
     """
     _check_tol(tol)
     p = _kernels.fixed_point(model.apply, model.preference.copy(), tol,
@@ -163,19 +185,111 @@ def pagerank_power(model: GoogleModel, *, tol: float = DEFAULT_TOL,
 
 
 def pagerank_linear(model: GoogleModel, *, tol: float = DEFAULT_TOL,
-                    max_iter: int = 2_000_000) -> np.ndarray:
-    """PageRank via the linear system ``(I - alpha H) x = v``.
-
-    The fixed-point loop of :func:`pagerank_power` on ``H`` instead of
-    ``S``, ``x <- v + alpha H x``, normalized to sum 1. The two agree when
-    the dangling mass that ``S`` returns is proportional to ``v``: for the
-    uniform preference, or a graph without dangling nodes.
-    """
+                    max_iter: int = 100_000) -> np.ndarray:
+    """PageRank via the linear system ``(I - alpha S) x = v``, normalized to
+    sum 1: :func:`_shifted_fom` with the model's ``alpha`` alone. Its
+    1-norm error is at most ``tol``; ``max_iter`` caps the products with
+    ``S``."""
     _check_tol(tol)
-    v = model.preference
-    x = _kernels.fixed_point(lambda x: v + model.alpha * model.h_matvec(x),
-                             v.copy(), tol, max_iter, "Neumann iteration")[0]
-    return x / x.sum()
+    return _shifted_fom(model, [model.alpha], tol, max_iter)[0][0]
+
+
+def _shifted_fom(model: GoogleModel, alphas, tol: float, max_iter: int):
+    """PageRank for every damping factor of ``alphas`` by restarted shifted
+    FOM (Simoncini, BIT 43, 2003) on ``(I - alpha S) x = v``; returns
+    ``(p, bounds, steps, products)``: one normalized vector per row of
+    ``p``, its checked error bound, the products with ``S``, and those with
+    ``S`` or ``P``.
+
+    Every shift shares one Arnoldi basis of ``S``, started from ``v`` and
+    restarted after :data:`_RESTART` steps. The FOM residual of shift
+    ``alpha`` is ``alpha h_{k+1,k} (e_k^T y_alpha)`` times the next basis
+    vector, the same vector for every shift, so each cycle restarts all of
+    them from it. The cycles stop once each residual is at most ``tol / 2``
+    in 1-norm, which bounds the error of the normalized vector by ``tol``.
+    Each vector is then checked with one product of its own ``P``: since
+    ``||(I - alpha S)^{-1}||_1 = 1 / (1 - alpha)``, ``||P p - p||_1 / (1 -
+    alpha)`` bounds ``||p - p*||_1``. A shift whose bound exceeds ``tol``
+    gets a smaller target and the cycles go on, unless its bound failed to
+    halve since the last check: then roundoff in ``P p - p``, about
+    ``eps / (1 - alpha)``, keeps it above ``tol``, and a
+    :class:`ConvergenceError` names that shift at once. After ``max_iter``
+    products with ``S`` raises :class:`ConvergenceError` as well. Either
+    error carries the normalized iterates in ``best``.
+    """
+    n = model.n
+    alphas = np.asarray(alphas, dtype=np.float64)
+    m = min(_RESTART, n)
+    basis = np.empty((m + 1, n))
+    hess = np.zeros((m + 1, m))
+    eye = np.eye(m)
+    x = np.zeros((alphas.shape[0], n))
+    basis[0] = model.preference
+    scale = np.full(alphas.shape, np.linalg.norm(basis[0]))
+    basis[0] /= scale[0]
+    target = np.full(alphas.shape, tol / 2.0)
+    last = np.full(alphas.shape, np.inf)  # bounds of the last check
+    steps = checks = 0
+    while True:
+        hess[:] = 0.0
+        for k in range(1, m + 1):
+            w = model.s_matvec(basis[k - 1])
+            steps += 1
+            for _ in range(2):  # classical Gram-Schmidt, repeated once
+                h = basis[:k] @ w
+                w -= h @ basis[:k]
+                hess[:k, k - 1] += h
+            hess[k, k - 1] = norm = float(np.linalg.norm(w))
+            if norm > 0.0:
+                basis[k] = w / norm
+            # FOM coefficients: (I - alpha H_k) y = scale e_1, every shift
+            y = scale[:, None] * np.linalg.solve(
+                eye[:k, :k] - alphas[:, None, None] * hess[:k, :k],
+                np.broadcast_to(eye[:k, :1], (alphas.shape[0], k, 1)))[..., 0]
+            residual = alphas * norm * y[:, -1]
+            estimate = np.abs(residual) * (float(np.abs(basis[k]).sum())
+                                           if norm > 0.0 else 0.0)
+            done = bool(np.all(estimate <= target))
+            if done or steps >= max_iter:
+                break
+        x += y @ basis[:k]
+        if done:
+            bounds = np.array([_checked_bound(model, a, q / q.sum())
+                               for a, q in zip(alphas.tolist(), x)])
+            checks += alphas.shape[0]
+            if np.all(bounds <= tol):
+                for q in x:  # the vectors checked, bit for bit
+                    q /= q.sum()
+                return x, bounds, steps, steps + checks
+            late = bounds > tol
+            stalled = np.flatnonzero(late & (bounds > last / 2.0))
+            if stalled.size:
+                i = stalled[0]
+                raise ConvergenceError(
+                    f"shifted FOM on S cannot certify tol={tol} at alpha = "
+                    f"{alphas[i]:.12g}: its checked error bound stays at "
+                    f"{bounds[i]:.3e}, the float64 roundoff of P p - p over "
+                    f"1 - alpha; use a larger tol",
+                    best=x / x.sum(axis=1, keepdims=True),
+                    residual=float(bounds[i]))
+            last = bounds
+            target[late] *= tol / (2.0 * bounds[late])
+        if steps >= max_iter:
+            worst = float(estimate.max())
+            raise ConvergenceError(
+                f"shifted FOM on S did not reach tol={tol} within {steps} "
+                f"steps (last residual {worst:.3e})",
+                best=x / x.sum(axis=1, keepdims=True), residual=worst)
+        scale = residual
+        basis[0] = basis[k]
+
+
+def _checked_bound(model: GoogleModel, alpha: float, p: np.ndarray) -> float:
+    """``||P p - p||_1 / (1 - alpha)`` for the Google matrix ``P`` of
+    ``alpha``: a bound on the 1-norm error of the probability vector ``p``.
+    """
+    return float(np.abs(replace(model, alpha=alpha).apply(p) - p).sum()) / (
+        1.0 - alpha)
 
 
 def small_alpha_limit(g: Graph) -> np.ndarray:

@@ -283,6 +283,11 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
     pagerank: the ranking at the damping cap 0.999). Reference rankings
     are tie-aligned before the distance is taken, so a column reads 0
     exactly when the candidate matches that limit modulo reference ties.
+
+    The family's :class:`~walkrank.measures.Sweep` solves the whole grid in
+    one call: one call of the measure per point for the walk families, and
+    for pagerank one shifted Krylov solve for every point and the cap, each
+    vector within a checked 1-norm error of ``tol``.
     """
     spec = MEASURES.get(measure)
     if spec is None or spec.sweep is None:
@@ -308,7 +313,7 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
         if np.any(np.diff(grid) <= 0.0):
             raise ValidationError("grid must be strictly increasing")
 
-    t_star, deg_scores, eig_scores = spec.sweep.limits(g, receive, tol)
+    t_star, deg_scores = spec.sweep.limits(g, receive, tol)
     if spec.diagonal:
         squared = g.weight * g.weight
         deg_scores = (np.bincount(g.src, squared, g.n)
@@ -323,13 +328,14 @@ def limit_sweep(g: Graph, measure: str, *, side: str = "broadcast",
 
     k = _resolve_depth(k, g.n)
 
+    points, eig_scores = spec.sweep.solve(spec.compute, g, grid, side,
+                                          receive, tol)
     references = [(r, _group_at(r)) for r in
                   (rank(deg_scores, tie_tol=tie_tol),
                    rank(eig_scores, tie_tol=tie_tol))]
     columns = np.full((3, grid.shape[0]), np.nan)
     previous = None
-    for i, t in enumerate(grid):
-        cv = spec.compute(g, float(t), side=side, tol=tol)
+    for i, cv in enumerate(points):
         pos = _positions(rank(cv.scores, tie_tol=tie_tol).order)
         for column, (ref, group) in zip(columns, references):
             aligned = _positions(_align_to(ref, pos, group))

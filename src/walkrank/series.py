@@ -46,8 +46,8 @@ __all__ = [
 DEFAULT_DENSE_LIMIT = 3000
 
 # Scaled Taylor steps allowed per product: one step costs at least ~33 us
-# even on 3 nodes, so 2**32 of them would run for more than a day.
-_MAX_TAYLOR_STEPS = 2 ** 32
+# even on 3 nodes, so 2**20 of them take about 35 s.
+_MAX_TAYLOR_STEPS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def exp_action(g: Graph, beta: float, v, *, tol: float = DEFAULT_TOL,
     through a Taylor evaluation of ``exp((beta/s) A)`` at tolerance
     ``tol/s``. Fixed summation order makes the result bitwise reproducible
     for identical inputs. Raises :class:`DomainError` when the result
-    overflows float64 or ``s`` exceeds ``2**32``.
+    overflows float64 or ``s`` exceeds ``2**20``.
     """
     v = _validate_vector(g, v)
     _check_parameter("beta", beta)
@@ -160,8 +160,9 @@ def _scaled_taylor(matvec, beta: float, norm_bound: float, v: np.ndarray,
                      if math.isfinite(x) else "over 2**1023")
             raise DomainError(
                 f"exp({name}*{op}) at {name} = {beta:.12g} needs {steps} "
-                f"Taylor steps, past the 2**32 that a run can finish; use a "
-                f"smaller {name}")
+                f"Taylor steps, past the "
+                f"2**{_MAX_TAYLOR_STEPS.bit_length() - 1} that a run can "
+                f"finish; use a smaller {name}")
         s *= 2
     step = beta / s
     inner_tol = tol / s

@@ -207,18 +207,29 @@ def test_compute_preference_file_rejects_non_number(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("weights", [[4, 1, 1, -1, 1, 1],
-                                     [4, 1, 1, float("nan"), 1, 1]])
+                                     [4, 1, 1, float("nan"), 1, 1],
+                                     [4, 1, 1, float("inf"), 1, 1]])
 def test_compute_preference_sign_rule_matches_the_library(capsys, tmp_path,
                                                           weights):
     pref = tmp_path / "pref.txt"
-    pref.write_text("".join(f"{w}\n" for w in weights))
+    pref.write_text("".join(f"{w}\n\n" for w in weights))
     code, out, err = run(capsys, "compute", "--input", "builtin:six-node",
                          "--measure", "pagerank", "--preference", str(pref))
-    with pytest.raises(ValidationError) as exc_info:
-        build_model(six_node_digraph(), 0.85,
-                    np.array(weights) / sum(weights))
+    with pytest.raises(ValidationError):  # the library rejects it too
+        build_model(six_node_digraph(), 0.85, np.array(weights, dtype=float))
     assert code == 2 and out == ""
-    assert err == f"error: {exc_info.value}\n"  # no rescaling note first
+    assert err == (f"error: {pref}:7: preference weight must be finite and "
+                   f"non-negative, got {str(weights[3])!r}\n")  # no note
+
+
+def test_karate_preference_ending_in_nan_names_its_line(capsys, tmp_path):
+    pref = tmp_path / "pref.txt"
+    pref.write_text("1\n" * 33 + "nan\n")
+    code, _, err = run(capsys, "compute", "--input", "builtin:karate",
+                       "--measure", "pagerank", "--preference", str(pref))
+    assert code == 2
+    assert err == (f"error: {pref}:34: preference weight must be finite and "
+                   "non-negative, got 'nan'\n")
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0661", "0.5 0.5"])
@@ -442,14 +453,14 @@ def test_sweep_exponential_overflow_exits_2(capsys):
 
 
 def test_compute_exponential_overflow_stops_at_the_first_inf_entry(capsys):
-    # beta * ||A|| needs 2^21 scaling steps; the sum overflows after a few
+    # beta * ||A|| needs 2^20 scaling steps; the sum overflows after a few
     # thousand, and the run must stop there
     start = time.perf_counter()
     code, _, err = run(capsys, "compute", "--input", "builtin:karate",
-                       "--measure", "total-communicability", "--beta", "1e5")
+                       "--measure", "total-communicability", "--beta", "4e4")
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert "overflows float64 at beta = 100000" in err
+    assert "overflows float64 at beta = 40000" in err
 
 
 def test_compute_beta_past_the_taylor_step_range_exits_2(capsys):
@@ -462,11 +473,13 @@ def test_compute_beta_past_the_taylor_step_range_exits_2(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("beta, steps", [("1e300", 997), ("1e100", 333)])
+@pytest.mark.parametrize("beta, steps", [("1e300", 997), ("1e100", 333),
+                                         ("4e9", 32)])
 def test_compute_nilpotent_beta_past_the_step_budget_exits_2_at_once(
         capsys, tmp_path, beta, steps):
     # the directed path is nilpotent: its Taylor sum never overflows, and
-    # the 2**997 planned steps ran until a timeout stopped them
+    # the 2**997 planned steps ran until a timeout stopped them; the 2**32
+    # of beta = 4e9 would take about 40 hours
     path = tmp_path / "path.mtx"
     path.write_text("%%MatrixMarket matrix coordinate pattern general\n"
                     "3 3 2\n1 2\n2 3\n")
@@ -476,7 +489,7 @@ def test_compute_nilpotent_beta_past_the_step_budget_exits_2_at_once(
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == (f"error: exp(beta*A) at beta = {float(beta):.12g} needs "
-                   f"2**{steps} Taylor steps, past the 2**32 that a run can "
+                   f"2**{steps} Taylor steps, past the 2**20 that a run can "
                    "finish; use a smaller beta\n")
 
 
@@ -528,6 +541,17 @@ def test_sweep_pagerank_six_node(capsys):
     assert code == 0
     first_row = [l for l in out.strip().split("\n") if l[0].isdigit()][0]
     assert float(first_row.split(",")[1]) == 0.0  # H1 ranking at tiny alpha
+
+
+def test_sweep_pagerank_tol_below_the_roundoff_floor_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sweep", "--input", "builtin:karate",
+                         "--measure", "pagerank", "--tol", "1e-15")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: shifted FOM on S cannot certify tol=1e-15 "
+                          "at alpha = 0.")
+    assert err.endswith("; use a larger tol\n")
 
 
 def test_sweep_side_is_the_side_compute_reports(capsys, tmp_path):

@@ -22,9 +22,15 @@ from walkrank.datasets import (
     SIX_NODE_PAGERANK_TABLE,
     SIX_NODE_PAGERANK_TOL,
     SIX_NODE_RANKING_LABELS,
+    karate,
     six_node_digraph,
 )
-from walkrank.generators import erdos_renyi, strongly_connected_digraph
+from walkrank.errors import ConvergenceError
+from walkrank.generators import erdos_renyi, ring, strongly_connected_digraph
+from walkrank.measures import MEASURES, RESOLVENT_FAMILY_FRACTIONS
+from walkrank.pagerank import (ALPHA_CAP, _RESTART, _checked_bound,
+                               _shifted_fom)
+from walkrank.ranking import limit_sweep
 
 from oracles import dense_google, dense_pagerank
 
@@ -248,6 +254,119 @@ def test_small_alpha_ranking_matches_rowsums_on_random_digraphs():
 def test_small_alpha_limit_of_directed_cycle_is_uniform():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
     assert np.allclose(small_alpha_limit(g), 1.0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# shifted solver
+# ---------------------------------------------------------------------------
+
+SWEEP_ALPHAS = [*RESOLVENT_FAMILY_FRACTIONS, ALPHA_CAP]
+# float64 roundoff of the dense oracle itself, far below the 1e-10 asked
+ORACLE_SLACK = 1e-14
+
+
+def _dangling_case():
+    g = erdos_renyi(80, 0.03, 7, directed=True)
+    v = np.random.default_rng(7).uniform(0.2, 1.8, g.n)
+    return g, v / v.sum()
+
+
+def test_shifted_bounds_cover_the_dense_error():
+    g_dangling, v = _dangling_case()
+    assert build_model(g_dangling).dangling.sum() >= 3
+    cases = [(six_node_digraph(), None), (karate(), None),
+             *((strongly_connected_digraph(60, 0.1, s), None)
+               for s in range(5)),
+             (g_dangling, v)]
+    for g, pref in cases:
+        model = build_model(g, ALPHA_CAP, pref)
+        p, bounds, steps, products = _shifted_fom(model, SWEEP_ALPHAS, 1e-10,
+                                                  100_000)
+        assert products == steps + len(SWEEP_ALPHAS)
+        assert np.all(bounds <= 1e-10)
+        for alpha, q, bound in zip(SWEEP_ALPHAS, p, bounds):
+            assert _checked_bound(model, alpha, q) == bound  # q was checked
+            q_dense = dense_pagerank(g, alpha, pref)
+            assert np.abs(q - q_dense).sum() <= bound + ORACLE_SLACK, alpha
+            assert q.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_shifted_solve_on_a_ring_runs_several_restart_cycles():
+    # with the uniform preference the ring converges in one step
+    g = ring(200, directed=True)
+    v = np.random.default_rng(3).uniform(0.5, 1.5, g.n)
+    v /= v.sum()
+    alphas = [0.5, 0.9, 0.99]
+    p, bounds, steps, _ = _shifted_fom(build_model(g, 0.99, v), alphas,
+                                       1e-10, 100_000)
+    assert steps > 5 * _RESTART
+    for alpha, q, bound in zip(alphas, p, bounds):
+        assert bound <= 1e-10
+        assert np.abs(q - dense_pagerank(g, alpha, v)).sum() <= (
+            bound + ORACLE_SLACK)
+
+
+def test_sweep_points_come_from_one_checked_solve():
+    g = strongly_connected_digraph(60, 0.1, 1)
+    spec = MEASURES["pagerank"]
+    grid = spec.sweep.default_grid(1.0)
+    points, cap = spec.sweep.solve(spec.compute, g, grid, "broadcast",
+                                   False, 1e-10)
+    assert [cv.parameter for cv in points] == grid.tolist()
+    assert len({cv.solver_meta["steps"] for cv in points}) == 1
+    for cv in points:
+        assert cv.solver_meta["bound"] <= 1e-10
+        assert cv.side == "broadcast"
+        assert np.abs(cv.scores - dense_pagerank(g, cv.parameter)).sum() <= (
+            cv.solver_meta["bound"] + ORACLE_SLACK)
+    assert np.abs(cap - dense_pagerank(g, ALPHA_CAP)).sum() <= 1e-10
+
+
+def test_sweep_clamps_grid_points_past_the_cap():
+    g = six_node_digraph()
+    spec = MEASURES["pagerank"]
+    with pytest.warns(RuntimeWarning, match="clamped to 0.999"):
+        points, cap = spec.sweep.solve(spec.compute, g, [0.5, 0.9995],
+                                       "broadcast", False, 1e-10)
+    assert points[1].parameter == ALPHA_CAP
+    assert np.array_equal(points[1].scores, cap)
+
+
+def test_bound_held_up_by_roundoff_names_its_shift_at_once():
+    # at alpha = 0.999 the float64 roundoff of P p - p, divided by 1 - alpha,
+    # is near 1e-13: no number of steps certifies 1e-15
+    model = build_model(strongly_connected_digraph(60, 0.1, 2))
+    with pytest.raises(ConvergenceError,
+                       match=r"^shifted FOM on S cannot certify tol=1e-15 at "
+                             r"alpha = 0\.999: its checked error bound "
+                             r"stays at \d\.\d{3}e-1\d, the float64") as exc:
+        _shifted_fom(model, [0.5, ALPHA_CAP], 1e-15, 100_000)
+    assert exc.value.best.shape == (2, 60)
+    assert exc.value.residual > 1e-15
+
+
+def test_linear_is_the_one_shift_call():
+    model = build_model(karate(), 0.85)
+    p, _, _, _ = _shifted_fom(model, [0.85], 1e-12, 100_000)
+    assert np.array_equal(pagerank_linear(model, tol=1e-12), p[0])
+
+
+def test_pagerank_sweep_costs_under_half_the_power_products(monkeypatch):
+    g = strongly_connected_digraph(2000, 0.0025, 11)
+    calls = [0]
+    matvec_t = Graph.matvec_t
+
+    def counted(self, x):
+        calls[0] += 1
+        return matvec_t(self, x)
+
+    monkeypatch.setattr(Graph, "matvec_t", counted)
+    limit_sweep(g, "pagerank")
+    sweep_products = calls[0]
+    calls[0] = 0
+    for alpha in SWEEP_ALPHAS:
+        pagerank_power(build_model(g, alpha))
+    assert sweep_products <= calls[0] / 2, (sweep_products, calls[0])
 
 
 # ---------------------------------------------------------------------------

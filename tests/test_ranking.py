@@ -280,9 +280,12 @@ def test_tie_groups_alignment_and_isim_match_oracles_under_heavy_ties():
 def _oracle_sweep(g, measure, grid, tie_tol=1e-9):
     """The three isim columns of a sweep from ``brute_isim`` and
     ``brute_align`` alone: candidates and references are sorted by
-    ``(-score, id)`` and grouped by ``brute_tie_partition``."""
+    ``(-score, id)`` and grouped by ``brute_tie_partition``. The scores
+    are the ones the sweep ranks: its family's ``limits`` and ``solve``."""
     spec = MEASURES[measure]
-    _, deg, eig = spec.sweep.limits(g, False, 1e-10)
+    deg = spec.sweep.limits(g, False, 1e-10)[1]
+    points, eig = spec.sweep.solve(spec.compute, g, grid, "broadcast", False,
+                                   1e-10)
 
     def ordered(scores):
         return sorted(range(g.n), key=lambda i: (-scores[i], i))
@@ -295,8 +298,8 @@ def _oracle_sweep(g, measure, grid, tie_tol=1e-9):
     references = [groups(deg), groups(eig)]
     columns = ([], [], [math.nan])
     previous = None
-    for t in grid:
-        cand = ordered(spec.compute(g, t, side="broadcast", tol=1e-10).scores)
+    for cv in points:
+        cand = ordered(cv.scores)
         for column, ref in zip(columns, references):
             column.append(brute_isim(cand, brute_align(ref, cand), g.n))
         if previous is not None:

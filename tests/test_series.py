@@ -157,7 +157,7 @@ def test_step_count_past_float64_names_overflow_before_any_step():
     start = time.perf_counter()
     with pytest.raises(DomainError,
                        match=r"^exp\(beta\*A\) at beta = 1\.7e\+308 needs "
-                             r"over 2\*\*1023 Taylor steps, past the 2\*\*32"):
+                             r"over 2\*\*1023 Taylor steps, past the 2\*\*20"):
         exp_action(k3(), 1.7e308, np.ones(3))
     assert time.perf_counter() - start < 0.5
 
@@ -425,7 +425,7 @@ def test_tolerance_outside_its_range_is_named_before_any_iteration(
     ("power iteration on A A\\^T", lambda: hits(karate(), max_iter=1)),
     ("Neumann iteration",
      lambda: resolvent_solve(karate(), 0.1, np.ones(34), max_iter=1)),
-    ("Neumann iteration",
+    ("shifted FOM on S",
      lambda: pagerank_linear(build_model(karate()), max_iter=1)),
     ("PageRank power iteration",
      lambda: pagerank_power(build_model(karate()), max_iter=1)),
